@@ -1,0 +1,5 @@
+"""Repository benchmark: generate → ingest → analyze → render, layer by layer.
+
+Run ``python3 perfbench/run.py --workload NAME --seed N --seconds S
+--trace 0|1`` from the repository root; see ``perfbench/README.md``.
+"""
