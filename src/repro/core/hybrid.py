@@ -17,14 +17,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..x509.certificate import Certificate
 from ..x509.dn import DistinguishedName
 from .chain import ObservedChain
 from .classification import CertificateClassifier, IssuerClass
 from .crosssign import CrossSignDisclosures
-from .matching import ChainStructure, Segment, analyze_structure, is_leaf_like
+from .matching import (ChainStructure, Segment, analyze_structure,
+                       is_leaf_like, pack_structure, unpack_structure)
 
 __all__ = [
     "HybridCategory",
@@ -33,6 +34,8 @@ __all__ = [
     "EntityKind",
     "classify_entity",
     "HybridChainAnalysis",
+    "pack_analysis",
+    "unpack_analysis",
     "HybridReport",
     "HybridAnalyzer",
     "CellLabel",
@@ -138,6 +141,33 @@ class HybridChainAnalysis:
         if self.classes[0] is not IssuerClass.PUBLIC_DB or leaf.is_self_signed:
             return False
         return not any(other.issued(leaf) for other in certs[1:])
+
+
+def pack_analysis(analysis: HybridChainAnalysis) -> tuple:
+    """Encode one hybrid verdict as pickle-cheap primitives.
+
+    ``(chain key, packed structure, classes, category, complete kind,
+    no-path category, anchored, entity)`` — no certificates or chains,
+    so it crosses a pool or store boundary as bytes and small tuples;
+    :func:`unpack_analysis` reattaches it to a live chain map.
+    """
+    return (analysis.chain.key, pack_structure(analysis.structure),
+            analysis.classes, analysis.category, analysis.complete_kind,
+            analysis.no_path_category, analysis.anchored_to_public_root,
+            analysis.entity)
+
+
+def unpack_analysis(chains: Mapping[tuple, ObservedChain],
+                    packed: tuple) -> HybridChainAnalysis:
+    """Rebuild a :func:`pack_analysis` encoding against ``chains``."""
+    (key, structure, classes, category, complete_kind, no_path_category,
+     anchored, entity) = packed
+    chain = chains[key]
+    return HybridChainAnalysis(
+        chain=chain, structure=unpack_structure(chain.certificates, structure),
+        classes=classes, category=category, complete_kind=complete_kind,
+        no_path_category=no_path_category, anchored_to_public_root=anchored,
+        entity=entity)
 
 
 @dataclass

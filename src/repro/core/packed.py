@@ -14,18 +14,28 @@ module replaces that hand-off with three pieces:
   insertion order, missing-certificate tallies, empty-chain skips —
   without materialising a row object;
 * :func:`pack_shard_payload` / :func:`unpack_shard_payload` — a compact
-  binary column layout (``bytes``) for the fold's output plus the
-  shard's de-duplicated X509 rows: numeric columns as native arrays with
-  None-bitmaps, strings as ids against one payload-global deduplicated
-  string table.  Pickling the resulting ``bytes`` blob is a memcpy;
+  binary column layout (``bytes``) in two sections: the fold's output
+  (chain keys as positions in the X509 section's fingerprint order,
+  usage columns), and the shard's de-duplicated X509 rows.  Numeric
+  columns are native arrays with None-bitmaps, strings are ids against
+  a deduplicated string table *per section*, so the X509 section
+  depends on the X509 log alone: every shard that joined one broadcast
+  ``x509.log`` ships byte-identical X509 sections, and the driver
+  decodes each distinct section once instead of once per shard.
+  Pickling the resulting ``bytes`` blob is a memcpy;
 * :func:`materialize_chains` — the driver-side rebuild of the legacy
   ``chains`` dict from unpacked columns plus a certificate map, in the
   exact order the worker discovered the chains.
 
 The layout is self-describing length-prefixed blobs, native byte order
-(worker and driver always share one machine).  Sets round-trip through
-lists (set equality is order-free); ``Counter`` key order — observable
-in merged output — is preserved exactly.
+(worker and driver always share one machine)::
+
+    payload := "RPK1" | chain section length | x509 section length
+               | chain section | x509 section
+    section := body length | body | string count | (length, utf-8)*
+
+Sets round-trip through lists (set equality is order-free); ``Counter``
+key order — observable in merged output — is preserved exactly.
 """
 
 from __future__ import annotations
@@ -38,11 +48,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chain import ChainUsage, ObservedChain
 
-__all__ = ["ChainFold", "fold_ssl_segment", "ShardColumns",
+__all__ = ["ChainFold", "fold_ssl_segment", "ShardColumns", "X509Section",
            "pack_shard_payload", "unpack_shard_payload",
            "materialize_chains", "X509_COLUMN_SPEC"]
 
 _MAGIC = b"RPK1"
+#: Magic plus the two section lengths.
+_HEADER = struct.Struct("<4sQQ")
 
 #: The shipped X509 columns: name and codec kind, in record-field order.
 #: Kinds: ``f`` nullable float, ``i`` nullable int, ``s`` string id,
@@ -186,37 +198,38 @@ class _Writer:
         self.blob(flat.tobytes())
 
     def render(self) -> bytes:
+        """One section: the column blobs, then its string table."""
         body = b"".join(self._parts)
         table = [struct.pack("<Q", len(self.strings))]
         for value in self.strings:
             raw = value.encode("utf-8")
             table.append(struct.pack("<Q", len(raw)))
             table.append(raw)
-        return b"".join([_MAGIC, struct.pack("<Q", len(body)), body, *table])
+        return b"".join([struct.pack("<Q", len(body)), body, *table])
 
 
 class _Reader:
-    """Reads :class:`_Writer` output; string table parsed up front."""
+    """Reads one :class:`_Writer` section; string table parsed up front."""
 
     __slots__ = ("_view", "_pos", "strings")
 
-    def __init__(self, payload: bytes) -> None:
-        if payload[:4] != _MAGIC:
-            raise ValueError("not a packed shard payload")
+    def __init__(self, section) -> None:
         try:
-            (body_len,) = struct.unpack_from("<Q", payload, 4)
-            self._view = memoryview(payload)
-            self._pos = 12
-            pos = 12 + body_len
-            (count,) = struct.unpack_from("<Q", payload, pos)
+            self._view = view = memoryview(section)
+            (body_len,) = struct.unpack_from("<Q", view, 0)
+            self._pos = 8
+            pos = 8 + body_len
+            (count,) = struct.unpack_from("<Q", view, pos)
             pos += 8
             strings: List[str] = []
             for _ in range(count):
-                (n,) = struct.unpack_from("<Q", payload, pos)
+                (n,) = struct.unpack_from("<Q", view, pos)
                 pos += 8
-                strings.append(bytes(self._view[pos:pos + n])
-                               .decode("utf-8"))
+                strings.append(bytes(view[pos:pos + n]).decode("utf-8"))
                 pos += n
+            if pos != len(view):
+                raise ValueError(
+                    "corrupt shard payload: section length mismatch")
             self.strings = strings
         except struct.error as error:  # truncated or mangled hand-off
             raise ValueError(
@@ -281,27 +294,55 @@ _READ_KIND = {"f": _Reader.float_column, "i": _Reader.int_column,
 
 # -- shard payloads -----------------------------------------------------------
 
-@dataclass(slots=True)
-class ShardColumns:
-    """One shard's unpacked hand-off: chain partials + X509 columns."""
+@dataclass(slots=True, eq=False)
+class X509Section:
+    """One decoded X509 section: a shard's de-duplicated X509 rows.
 
-    chain_keys: List[Tuple[Optional[str], ...]]
-    usages: List[ChainUsage]
+    Compared and hashed by identity: shards decoded through one
+    ``sections`` cache (see :func:`unpack_shard_payload`) share the
+    instance of their common section, so callers can key per-section
+    work — certificate reconstruction — on it.
+    """
+
     #: Distinct certificate fingerprints, first-seen row order.
     cert_fingerprints: List[Optional[str]]
     #: De-duplicated X509 rows (last row per fingerprint, first-seen
     #: fingerprint order) as name-keyed parallel columns.
-    x509_columns: Dict[str, list]
+    columns: Dict[str, list]
+
+
+@dataclass(slots=True)
+class ShardColumns:
+    """One shard's unpacked hand-off: chain partials + X509 section."""
+
+    chain_keys: List[Tuple[Optional[str], ...]]
+    usages: List[ChainUsage]
+    x509: X509Section
+
+    @property
+    def cert_fingerprints(self) -> List[Optional[str]]:
+        return self.x509.cert_fingerprints
+
+    @property
+    def x509_columns(self) -> Dict[str, list]:
+        return self.x509.columns
 
 
 def pack_shard_payload(*, chain_keys: Sequence[Tuple[Optional[str], ...]],
                        usages: Sequence[ChainUsage],
                        cert_fingerprints: Sequence[Optional[str]],
                        x509_columns: Dict[str, list]) -> bytes:
-    """Pack one shard's fold output into a compact ``bytes`` payload."""
+    """Pack one shard's fold output into a compact ``bytes`` payload.
+
+    Every chain-key fingerprint must be one of ``cert_fingerprints`` (the
+    fold keeps known fingerprints only): keys travel as positions in
+    that list, so fingerprints are written once, in the X509 section.
+    """
+    position = {fp: i for i, fp in enumerate(cert_fingerprints)}
     writer = _Writer()
     writer.counts([len(chain_keys)])
-    writer.string_seq_column(chain_keys)
+    writer.counts([len(key) for key in chain_keys])
+    writer.counts([position[fp] for key in chain_keys for fp in key])
     writer.counts([u.connections for u in usages])
     writer.counts([u.established for u in usages])
     writer.counts([u.sni_present for u in usages])
@@ -315,19 +356,49 @@ def pack_shard_payload(*, chain_keys: Sequence[Tuple[Optional[str], ...]],
     writer.counts([len(u.ports) for u in usages])
     writer.int_column([p for u in usages for p in u.ports])
     writer.counts([c for u in usages for c in u.ports.values()])
+    chains = writer.render()
+
+    writer = _Writer()
     writer.string_column(cert_fingerprints)
     n_x509 = len(next(iter(x509_columns.values()), []))
     writer.counts([n_x509])
     for name, kind in X509_COLUMN_SPEC:
         _WRITE_KIND[kind](writer, x509_columns[name])
-    return writer.render()
+    x509 = writer.render()
+    return b"".join([_HEADER.pack(_MAGIC, len(chains), len(x509)),
+                     chains, x509])
 
 
-def unpack_shard_payload(payload: bytes) -> ShardColumns:
-    """Inverse of :func:`pack_shard_payload`."""
-    reader = _Reader(payload)
+def unpack_shard_payload(payload: bytes,
+                         sections: Optional[Dict[bytes, X509Section]] = None
+                         ) -> ShardColumns:
+    """Inverse of :func:`pack_shard_payload`.
+
+    ``sections`` caches decoded X509 sections by their bytes: payloads
+    whose sections are identical (shards of one broadcast X509 log)
+    decode it once and share the :class:`X509Section`.
+    """
+    if payload[:4] != _MAGIC:
+        raise ValueError("not a packed shard payload")
+    try:
+        _, chains_len, x509_len = _HEADER.unpack_from(payload)
+    except struct.error as error:
+        raise ValueError(f"corrupt shard payload: {error}") from error
+    start = _HEADER.size
+    if len(payload) != start + chains_len + x509_len:
+        raise ValueError("corrupt shard payload: section length mismatch")
+    section = payload[start + chains_len:]
+    x509 = sections.get(section) if sections is not None else None
+    if x509 is None:
+        x509 = _unpack_x509_section(section)
+        if sections is not None:
+            sections[section] = x509
+    fingerprints = x509.cert_fingerprints
+
+    reader = _Reader(memoryview(payload)[start:start + chains_len])
     (n_chains,) = reader.counts()
-    chain_keys = [key or () for key in reader.string_seq_column()]
+    key_lens = reader.counts()
+    key_positions = reader.counts()
     connections = reader.counts()
     established = reader.counts()
     sni_present = reader.counts()
@@ -339,6 +410,12 @@ def unpack_shard_payload(payload: bytes) -> ShardColumns:
     port_lens = reader.counts()
     flat_ports = reader.int_column()
     flat_counts = reader.counts()
+    chain_keys: List[Tuple[Optional[str], ...]] = []
+    pos = 0
+    for n in key_lens:
+        chain_keys.append(tuple(fingerprints[p]
+                                for p in key_positions[pos:pos + n]))
+        pos += n
     usages: List[ChainUsage] = []
     pos = 0
     for i in range(n_chains):
@@ -352,16 +429,20 @@ def unpack_shard_payload(payload: bytes) -> ShardColumns:
             sni_present=sni_present[i], snis=set(snis[i] or ()),
             first_seen=first_seen[i], last_seen=last_seen[i],
             server_ips=set(server_ips[i] or ())))
+    return ShardColumns(chain_keys=chain_keys, usages=usages, x509=x509)
+
+
+def _unpack_x509_section(section: bytes) -> X509Section:
+    """Decode the X509 section of a :func:`pack_shard_payload` payload."""
+    reader = _Reader(section)
     cert_fingerprints = reader.string_column()
     (n_x509,) = reader.counts()
-    x509_columns = {name: _READ_KIND[kind](reader)
-                    for name, kind in X509_COLUMN_SPEC}
-    for column in x509_columns.values():
+    columns = {name: _READ_KIND[kind](reader)
+               for name, kind in X509_COLUMN_SPEC}
+    for column in columns.values():
         if len(column) != n_x509:
             raise ValueError("corrupt shard payload: ragged X509 columns")
-    return ShardColumns(chain_keys=chain_keys, usages=usages,
-                        cert_fingerprints=cert_fingerprints,
-                        x509_columns=x509_columns)
+    return X509Section(cert_fingerprints=cert_fingerprints, columns=columns)
 
 
 def materialize_chains(chain_keys: Sequence[Tuple[Optional[str], ...]],

@@ -30,7 +30,8 @@ from .chain import ObservedChain, aggregate_chains
 from .classification import CertificateClassifier
 from .crosssign import CrossSignDisclosures
 from .dga import DGACluster, DGADetector
-from .hybrid import HybridAnalyzer, HybridChainAnalysis, HybridReport
+from .hybrid import (HybridAnalyzer, HybridReport, pack_analysis,
+                     unpack_analysis)
 from .interception import InterceptionDetector, InterceptionReport, VendorDirectory
 from .lengths import LengthDistribution, length_distributions
 from .matching import (ChainStructure, analyze_structure, pack_structure,
@@ -92,9 +93,10 @@ class AnalysisResult:
     disclosures: Optional[CrossSignDisclosures]
     _structure_cache: Dict[tuple[str, ...], ChainStructure] = field(
         default_factory=dict)
-    #: Artifact-cache entries not yet decoded: chain key -> packed
-    #: (require_leaf=True, require_leaf=False) structure encodings.
-    #: Decoded lazily so a warm load does no per-structure Python work.
+    #: Structures not yet decoded, from the enrichment engine or an
+    #: artifact: chain key -> packed (require_leaf=True,
+    #: require_leaf=False) structure encodings.  Decoded lazily so
+    #: neither path does per-structure Python work up front.
     _packed_structures: Dict[tuple[str, ...], tuple] = field(
         default_factory=dict)
 
@@ -238,7 +240,7 @@ class ChainStructureAnalyzer:
                      ) -> str:
         """Identity of this run's input + configuration, for checkpoints."""
         parts: List[object] = [
-            "analyzer-v1",
+            "analyzer-v2",
             type(self.registry).__name__,
             self.ct_index is not None,
             self.vendor_directory is not None,
@@ -280,23 +282,20 @@ class ChainStructureAnalyzer:
                 categories[chain.key] = category
         structures = {}
         for key in result.chains:
-            with_leaf = result._structure_cache.get(key + ("L",))
-            without_leaf = result._structure_cache.get(key + ("N",))
-            if with_leaf is not None or without_leaf is not None:
-                structures[key] = (
-                    pack_structure(with_leaf)
-                    if with_leaf is not None else None,
-                    pack_structure(without_leaf)
-                    if without_leaf is not None else None)
-        hybrid = [(analysis.chain.key, pack_structure(analysis.structure),
-                   analysis.classes, analysis.category,
-                   analysis.complete_kind, analysis.no_path_category,
-                   analysis.anchored_to_public_root, analysis.entity)
-                  for analysis in result.hybrid.analyses]
+            # Still-packed structures are carried as they are; decoded
+            # ones are packed again.
+            pair = list(result._packed_structures.get(key, (None, None)))
+            for i, suffix in enumerate(("L", "N")):
+                decoded = result._structure_cache.get(key + (suffix,))
+                if pair[i] is None and decoded is not None:
+                    pair[i] = pack_structure(decoded)
+            if pair != [None, None]:
+                structures[key] = tuple(pair)
         return {
             "categories": categories,
             "structures": structures,
-            "hybrid": hybrid,
+            "hybrid": [pack_analysis(analysis)
+                       for analysis in result.hybrid.analyses],
             # Small on its own (issuers + name keys + chain keys), and
             # degraded_chains already holds keys, not chains.
             "interception": result.interception,
@@ -318,17 +317,8 @@ class ChainStructureAnalyzer:
             categorized = CategorizedChains()
             for key, chain in chains.items():
                 categorized.add(categories[key], chain)
-            analyses = []
-            for (key, packed, classes, category, complete_kind,
-                 no_path_category, anchored, entity) in state["hybrid"]:
-                chain = chains[key]
-                analyses.append(HybridChainAnalysis(
-                    chain=chain,
-                    structure=unpack_structure(chain.certificates, packed),
-                    classes=classes, category=category,
-                    complete_kind=complete_kind,
-                    no_path_category=no_path_category,
-                    anchored_to_public_root=anchored, entity=entity))
+            analyses = [unpack_analysis(chains, packed)
+                        for packed in state["hybrid"]]
             dga = [DGACluster(template=template,
                               chains=[chains[key] for key in keys])
                    for template, keys in state["dga"]]
@@ -362,8 +352,9 @@ class ChainStructureAnalyzer:
         routes stages 2–3 through the parallel enrichment engine
         (:mod:`repro.parallel.analysis`), which additionally computes both
         ``ChainStructure`` variants for every multi-certificate chain
-        eagerly — the result is byte-identical either way, and identical
-        at every ``jobs`` value.
+        eagerly and returns them packed, decoded on first
+        ``structure_of`` — the result is byte-identical either way, and
+        identical at every ``jobs`` value.
 
         ``artifacts`` layers the content-addressed cache on top: when a
         stored ``AnalysisResult`` matches this input + configuration +
@@ -410,7 +401,7 @@ class ChainStructureAnalyzer:
                     return detector.detect(chains.values())
                 interception = staged("interception", run_interception)
 
-            structure_cache: Dict[tuple[str, ...], ChainStructure] = {}
+            packed_structures: Dict[tuple[str, ...], tuple] = {}
             if jobs is None:
                 # Stage 2 — chain categorisation (serial).
                 with trace_span("categorize", chains=len(chains)):
@@ -472,24 +463,14 @@ class ChainStructureAnalyzer:
                         category=category.value)
                 classifier.preload(enriched.classes)
                 hybrid_chains = categorized.chains(ChainCategory.HYBRID)
-                analyses = []
-                for chain in hybrid_chains:
-                    analysis = enriched.hybrid_by_key[chain.key]
-                    # Rebind to the driver's objects: the worker's copies
-                    # crossed a pickle boundary, and downstream consumers
-                    # expect the analysis to reference the same chain the
-                    # result's chain map holds.
-                    analysis.chain = chain
-                    analysis.structure.certificates = chain.certificates
-                    analyses.append(analysis)
-                hybrid = HybridReport(analyses=analyses)
-                for key, (with_leaf, without_leaf) in \
-                        enriched.structures.items():
-                    certificates = chains[key].certificates
-                    with_leaf.certificates = certificates
-                    without_leaf.certificates = certificates
-                    structure_cache[key + ("L",)] = with_leaf
-                    structure_cache[key + ("N",)] = without_leaf
+                # The partials hold derived state only: verdicts are
+                # rebuilt against the driver's own chains, and structures
+                # stay packed until structure_of asks for them — as on a
+                # warm artifact load.
+                hybrid = HybridReport(analyses=[
+                    unpack_analysis(chains, enriched.hybrid_by_key[chain.key])
+                    for chain in hybrid_chains])
+                packed_structures = enriched.structures
 
             # Stage 4 — special populations.
             with trace_span("special_populations"):
@@ -511,7 +492,7 @@ class ChainStructureAnalyzer:
             dga_clusters=dga,
             classifier=classifier,
             disclosures=self.disclosures,
-            _structure_cache=structure_cache,
+            _packed_structures=packed_structures,
         )
         if artifacts is not None:
             artifacts.save("analysis", artifact_fp, self._dehydrate(result))

@@ -26,6 +26,14 @@ pass at any ``jobs`` value:
   driver derives the canonical ``repro_analysis_*`` counters from the
   merged totals, so counter exports are identical at any ``jobs`` (only
   the worker gauge and timing histograms vary).
+
+**Derived state only.**  A partial carries decisions, never object
+graphs: categories, issuer classes, :func:`~repro.core.matching.pack_structure`
+pairs and :func:`~repro.core.hybrid.pack_analysis` verdicts — the
+encodings the analysis artifact stores.  The pool return, the run
+journal's partials and the ``enrichment`` checkpoint therefore pickle
+bytes and small tuples, and the driver reattaches them to its own
+chains (:meth:`~repro.core.pipeline.ChainStructureAnalyzer.analyze_chains`).
 """
 
 from __future__ import annotations
@@ -39,8 +47,8 @@ from ..core.categorization import ChainCategorizer, ChainCategory
 from ..core.chain import ObservedChain
 from ..core.classification import CertificateClassifier, IssuerClass
 from ..core.crosssign import CrossSignDisclosures
-from ..core.hybrid import HybridAnalyzer, HybridChainAnalysis
-from ..core.matching import ChainStructure, analyze_structure_pair
+from ..core.hybrid import HybridAnalyzer, pack_analysis
+from ..core.matching import analyze_structure_pair, pack_structure
 from ..obs import instruments
 from ..obs.logging import get_logger, kv
 from ..obs.sink import WorkerTelemetry, capture_telemetry, get_sink
@@ -101,11 +109,11 @@ class AnalysisPartial:
     #: (chain key, category) in this partition's chain order.
     categories: List[Tuple[Tuple[str, ...], ChainCategory]] = field(
         default_factory=list)
-    #: Hybrid analyses keyed implicitly by ``analysis.chain.key``.
-    hybrid: List[HybridChainAnalysis] = field(default_factory=list)
-    #: chain key -> (require_leaf=True, require_leaf=False) structures.
-    structures: Dict[Tuple[str, ...],
-                     Tuple[ChainStructure, ChainStructure]] = field(
+    #: :func:`~repro.core.hybrid.pack_analysis` verdicts, chain key first.
+    hybrid: List[tuple] = field(default_factory=list)
+    #: chain key -> packed (require_leaf=True, require_leaf=False)
+    #: structures.
+    structures: Dict[Tuple[str, ...], Tuple[tuple, tuple]] = field(
         default_factory=dict)
     #: certificate fingerprint -> issuer class, for classifier preload.
     classes: Dict[str, IssuerClass] = field(default_factory=dict)
@@ -122,13 +130,12 @@ class EnrichedChains:
     #: chain key -> category, covering every chain.
     categories: Dict[Tuple[str, ...], ChainCategory] = field(
         default_factory=dict)
-    #: chain key -> hybrid analysis, covering exactly the hybrid chains.
-    hybrid_by_key: Dict[Tuple[str, ...], HybridChainAnalysis] = field(
-        default_factory=dict)
-    #: chain key -> (with-leaf, without-leaf) structures, covering every
-    #: multi-certificate chain.
-    structures: Dict[Tuple[str, ...],
-                     Tuple[ChainStructure, ChainStructure]] = field(
+    #: chain key -> packed hybrid verdict, covering exactly the hybrid
+    #: chains.
+    hybrid_by_key: Dict[Tuple[str, ...], tuple] = field(default_factory=dict)
+    #: chain key -> packed (with-leaf, without-leaf) structures, covering
+    #: every multi-certificate chain.
+    structures: Dict[Tuple[str, ...], Tuple[tuple, tuple]] = field(
         default_factory=dict)
     #: certificate fingerprint -> issuer class, for classifier preload.
     classes: Dict[str, IssuerClass] = field(default_factory=dict)
@@ -144,7 +151,8 @@ def process_partition(task: AnalysisTask) -> AnalysisPartial:
     Runs inside a worker process with metrics disabled (the driver emits
     the canonical values from the merged result).  Fresh classifier /
     categorizer / hybrid-analyzer instances per partition keep the work a
-    pure function of the task.
+    pure function of the task.  Structures and hybrid verdicts leave
+    packed: the partial holds no certificate, chain or structure object.
     """
     start = time.perf_counter()
     partial = AnalysisPartial(index=task.index)
@@ -162,12 +170,15 @@ def process_partition(task: AnalysisTask) -> AnalysisPartial:
             if chain.length > 1:
                 structure_pair = analyze_structure_pair(
                     chain.certificates, disclosures=task.disclosures)
-                partial.structures[chain.key] = structure_pair
+                partial.structures[chain.key] = (
+                    pack_structure(structure_pair[0]),
+                    pack_structure(structure_pair[1]))
                 partial.structures_built += 2
             if category is ChainCategory.HYBRID:
-                partial.hybrid.append(hybrid_analyzer.analyze_chain(
-                    chain,
-                    structure=structure_pair[0] if structure_pair else None))
+                partial.hybrid.append(pack_analysis(
+                    hybrid_analyzer.analyze_chain(
+                        chain, structure=structure_pair[0]
+                        if structure_pair else None)))
         partial.classes = classifier.cached_classes()
     partial.telemetry = telemetry
     partial.seconds = time.perf_counter() - start
@@ -195,7 +206,7 @@ def _partition_fingerprint(task: AnalysisTask) -> str:
     subdirectories under ``--run-journal`` for exactly that reason.
     """
     return input_fingerprint([
-        "analysis-partition", task.index,
+        "analysis-partition-v2", task.index,
         tuple(chain.key for chain in task.chains),
         tuple(sorted(task.interception_keys)),
     ])
@@ -262,8 +273,8 @@ def _reduce(partials: List[AnalysisPartial], *, partitions: int,
         sink.attach(partial.telemetry)
         for key, category in partial.categories:
             enriched.categories[key] = category
-        for analysis in partial.hybrid:
-            enriched.hybrid_by_key[analysis.chain.key] = analysis
+        for verdict in partial.hybrid:
+            enriched.hybrid_by_key[verdict[0]] = verdict
         enriched.structures.update(partial.structures)
         enriched.classes.update(partial.classes)
         structures_built += partial.structures_built

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.chain import ObservedChain
-from ..core.packed import materialize_chains, unpack_shard_payload
+from ..core.packed import (X509Section, materialize_chains,
+                           unpack_shard_payload)
 from ..faults.plan import FaultPlan
 from ..obs import instruments
 from ..obs.logging import get_logger, kv
@@ -38,6 +39,7 @@ from ..obs.sink import capture_telemetry, get_sink
 from ..obs.tracing import trace_span
 from ..resilience.checkpoint import input_fingerprint
 from ..resilience.quarantine import Quarantine
+from ..x509.certificate import Certificate
 from ..zeek.records import X509Record
 from ..zeek.tap import reconstruct_certificate
 from .pool import clamp_jobs
@@ -77,15 +79,22 @@ class IngestResult:
 
 
 def _shard_fingerprint(task: ShardTask) -> str:
-    """Journal identity of one shard task: paths, sizes, configuration."""
-    def size(path: str) -> int:
+    """Journal identity of one shard task: paths, sizes, modification
+    times, configuration.
+
+    The modification time catches an in-place edit that keeps a log's
+    size (flipping ``T`` to ``F`` in a column), which would otherwise
+    replay the stale partial on ``--resume``.
+    """
+    def stat(path: str) -> Tuple[int, int]:
         try:
-            return os.path.getsize(path)
+            info = os.stat(path)
         except OSError:
-            return -1
+            return -1, -1
+        return info.st_size, info.st_mtime_ns
     return input_fingerprint([
-        "ingest-shard", task.index, task.ssl_path, size(task.ssl_path),
-        task.x509_path, size(task.x509_path), task.plan, task.tolerant,
+        "ingest-shard-v2", task.index, task.ssl_path, *stat(task.ssl_path),
+        task.x509_path, *stat(task.x509_path), task.plan, task.tolerant,
         task.compiled, task.columnar,
     ])
 
@@ -143,8 +152,7 @@ def ingest_shards(shards: Iterable[ShardSpec], *,
             fingerprint_fn=_shard_fingerprint)
     aggregates = [a for a in outcome.results if a is not None]
     if columnar:
-        aggregates = [_materialize_aggregate(a)
-                      for a in sorted(aggregates, key=lambda a: a.index)]
+        aggregates = _materialize(aggregates)
     result = _reduce(aggregates, jobs=jobs, quarantine=quarantine)
     result.supervisor = outcome
     result.requested_jobs = requested
@@ -167,9 +175,15 @@ def ingest_logs(ssl_path: str, x509_path: str, *,
                          columnar=columnar)
 
 
-def _materialize_aggregate(aggregate: ColumnarShardAggregate
-                           ) -> ShardAggregate:
-    """Unpack one columnar partial into the legacy aggregate shape.
+def _materialize(aggregates: List[ColumnarShardAggregate]
+                 ) -> List[ShardAggregate]:
+    """Unpack columnar partials into the legacy aggregate shape, in
+    shard order.
+
+    Shards whose X509 sections are identical (they joined one broadcast
+    ``x509.log``) share one section decode and one certificate map, so
+    each distinct certificate is rebuilt once per ingest, not once per
+    shard.
 
     The rebuild (certificate reconstruction, DN parsing) churns the same
     memo caches a worker would have touched, so it runs under a
@@ -179,51 +193,65 @@ def _materialize_aggregate(aggregate: ColumnarShardAggregate
     The canonical ``repro_columnar_*`` metrics are then emitted from the
     worker-reported stats, outside the shield.
     """
-    with capture_telemetry("materialize", aggregate.index):
-        columns = unpack_shard_payload(aggregate.payload)
-        spec = columns.x509_columns
-        records = [
-            X509Record(
-                ts=ts, fingerprint=fingerprint, certificate_version=version,
-                certificate_serial=serial, certificate_subject=subject,
-                certificate_issuer=issuer,
-                certificate_not_valid_before=not_before,
-                certificate_not_valid_after=not_after,
-                certificate_key_alg=key_alg, certificate_sig_alg=sig_alg,
-                certificate_key_length=key_length,
-                san_dns=tuple(san or ()), basic_constraints_ca=bc_ca,
-                basic_constraints_path_len=bc_path_len)
-            for ts, fingerprint, version, serial, subject, issuer,
-            not_before, not_after, key_alg, sig_alg, key_length, san,
-            bc_ca, bc_path_len in zip(
-                spec["ts"], spec["fingerprint"],
-                spec["certificate.version"], spec["certificate.serial"],
-                spec["certificate.subject"], spec["certificate.issuer"],
-                spec["certificate.not_valid_before"],
-                spec["certificate.not_valid_after"],
-                spec["certificate.key_alg"], spec["certificate.sig_alg"],
-                spec["certificate.key_length"], spec["san.dns"],
-                spec["basic_constraints.ca"],
-                spec["basic_constraints.path_len"])]
-        certificates = {record.fingerprint: reconstruct_certificate(record)
-                        for record in records}
-        chains = materialize_chains(columns.chain_keys, columns.usages,
-                                    certificates)
-    instruments.COLUMNAR_PAYLOAD_BYTES.inc(len(aggregate.payload))
-    for stats in (aggregate.x509_stats, aggregate.ssl_stats):
-        if stats is not None:
-            stats.emit()
-    return ShardAggregate(
-        index=aggregate.index, chains=chains,
-        quarantined=aggregate.quarantined,
-        cert_fingerprints=columns.cert_fingerprints,
-        ssl_rows=aggregate.ssl_rows, x509_rows=aggregate.x509_rows,
-        ssl_log_label=aggregate.ssl_log_label,
-        x509_log_label=aggregate.x509_log_label,
-        joined=aggregate.joined, missing_certs=aggregate.missing_certs,
-        aggregated=aggregate.aggregated,
-        skipped_empty=aggregate.skipped_empty,
-        seconds=aggregate.seconds, telemetry=aggregate.telemetry)
+    sections: Dict[bytes, X509Section] = {}
+    certificate_maps: Dict[X509Section,
+                           Dict[Optional[str], Certificate]] = {}
+    materialized = []
+    for aggregate in sorted(aggregates, key=lambda a: a.index):
+        with capture_telemetry("materialize", aggregate.index):
+            columns = unpack_shard_payload(aggregate.payload, sections)
+            certificates = certificate_maps.get(columns.x509)
+            if certificates is None:
+                certificates = certificate_maps[columns.x509] = \
+                    _reconstruct_certificates(columns.x509.columns)
+            chains = materialize_chains(columns.chain_keys, columns.usages,
+                                        certificates)
+        instruments.COLUMNAR_PAYLOAD_BYTES.inc(len(aggregate.payload))
+        for stats in (aggregate.x509_stats, aggregate.ssl_stats):
+            if stats is not None:
+                stats.emit()
+        materialized.append(ShardAggregate(
+            index=aggregate.index, chains=chains,
+            quarantined=aggregate.quarantined,
+            cert_fingerprints=columns.cert_fingerprints,
+            ssl_rows=aggregate.ssl_rows, x509_rows=aggregate.x509_rows,
+            ssl_log_label=aggregate.ssl_log_label,
+            x509_log_label=aggregate.x509_log_label,
+            joined=aggregate.joined, missing_certs=aggregate.missing_certs,
+            aggregated=aggregate.aggregated,
+            skipped_empty=aggregate.skipped_empty,
+            seconds=aggregate.seconds, telemetry=aggregate.telemetry))
+    return materialized
+
+
+def _reconstruct_certificates(spec: Dict[str, list]
+                              ) -> Dict[Optional[str], Certificate]:
+    """Fingerprint -> certificate for one section's de-duplicated rows."""
+    records = [
+        X509Record(
+            ts=ts, fingerprint=fingerprint, certificate_version=version,
+            certificate_serial=serial, certificate_subject=subject,
+            certificate_issuer=issuer,
+            certificate_not_valid_before=not_before,
+            certificate_not_valid_after=not_after,
+            certificate_key_alg=key_alg, certificate_sig_alg=sig_alg,
+            certificate_key_length=key_length,
+            san_dns=tuple(san or ()), basic_constraints_ca=bc_ca,
+            basic_constraints_path_len=bc_path_len)
+        for ts, fingerprint, version, serial, subject, issuer,
+        not_before, not_after, key_alg, sig_alg, key_length, san,
+        bc_ca, bc_path_len in zip(
+            spec["ts"], spec["fingerprint"],
+            spec["certificate.version"], spec["certificate.serial"],
+            spec["certificate.subject"], spec["certificate.issuer"],
+            spec["certificate.not_valid_before"],
+            spec["certificate.not_valid_after"],
+            spec["certificate.key_alg"], spec["certificate.sig_alg"],
+            spec["certificate.key_length"], spec["san.dns"],
+            spec["basic_constraints.ca"],
+            spec["basic_constraints.path_len"])]
+    return {record.fingerprint: reconstruct_certificate(record)
+            for record in records}
 
 
 def _reduce(aggregates: List[ShardAggregate], *, jobs: int,

@@ -95,7 +95,9 @@ class ColumnarShardAggregate:
     The row data crosses the process boundary as one opaque ``bytes``
     payload (see :mod:`repro.core.packed`); pickling it is a memcpy, so
     the hand-off cost no longer scales with object-graph complexity.
-    The driver unpacks, rebuilds certificates, and reduces through the
+    The payload's X509 section depends on the X509 log alone, so shards
+    that joined one broadcast log return identical sections and the
+    driver rebuilds their certificates once, then reduces through the
     same merge as the compiled path.
     """
 
@@ -192,7 +194,8 @@ def process_shard_columnar(task: ShardTask) -> ColumnarShardAggregate:
     fingerprint, first-seen fingerprint order — exactly what the legacy
     ``certificate_map`` dict comprehension converges to), the SSL side is
     folded straight into chain partials without ever materialising a row
-    object, and everything ships home as one packed column payload.
+    object, and everything ships home as one packed column payload
+    whose X509 section is byte-identical across shards of one log.
     Strict/tolerant and fault-injection semantics are identical to
     :func:`process_shard` — fault plans force the reader onto the
     per-line parity path, so quarantine ``file:line`` records match the

@@ -70,11 +70,13 @@ class MonitoringTap:
         return [record.to_row() for record in self.x509_records]
 
 
-#: Reconstruction memo.  An X509 log de-duplicates by fingerprint, but
-#: sharded ingest re-reads the same certificate rows in every shard (and
-#: repeated analyzer runs re-read the same logs); :class:`X509Record` is a
-#: frozen hashable dataclass, so the full record is its own cache key —
-#: two rows that differ in any field can never alias one entry.
+#: Reconstruction memo.  The parallel engine rebuilds each distinct X509
+#: section once per ingest, so it asks once per distinct certificate;
+#: hits come from a later pass over the same logs in one process (a
+#: resumed or repeated run, ``certificate_map`` over rows already seen).
+#: :class:`X509Record` is a frozen hashable dataclass, so the full record
+#: is its own cache key — two rows that differ in any field can never
+#: alias one entry.
 _RECONSTRUCT_CACHE: "BoundedLRU[X509Record, Certificate]" = BoundedLRU(
     131072,
     hits=instruments.CERT_CACHE_HIT,

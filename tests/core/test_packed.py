@@ -102,6 +102,21 @@ class TestPayloadCodec:
         with pytest.raises(ValueError):
             unpack_shard_payload(payload[:len(payload) // 2])
 
+    def test_shards_of_one_x509_log_share_one_section_decode(self):
+        payloads = [
+            pack_shard_payload(chain_keys=keys, usages=[_usage()] * len(keys),
+                               cert_fingerprints=["fp00", "fp01", "fp02"],
+                               x509_columns=_x509_columns(3))
+            for keys in ([("fp00", "fp01")], [("fp02",), ("fp01",)])]
+        sections = {}
+        first, second = (unpack_shard_payload(payload, sections)
+                         for payload in payloads)
+        assert len(sections) == 1
+        assert first.x509 is second.x509
+        assert first.chain_keys == [("fp00", "fp01")]
+        assert second.chain_keys == [("fp02",), ("fp01",)]
+        assert second.x509_columns == _x509_columns(3)
+
     def test_materialize_preserves_chain_insertion_order(self):
         keys = [("fp01",), ("fp00", "fp01")]
         usages = [_usage(), _usage(connections=9)]

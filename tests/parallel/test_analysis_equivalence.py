@@ -11,7 +11,10 @@ stay silent and the driver emits canonical values from the merge.
 
 from __future__ import annotations
 
+import glob
+import io
 import os
+import pickle
 
 import pytest
 
@@ -19,9 +22,14 @@ from repro.campus.dataset import cached_campus_dataset
 from repro.core.categorization import ChainCategory
 from repro.core.chain import aggregate_chains
 from repro.core.matching import analyze_structure
+from repro.obs import instruments
 from repro.obs.metrics import get_registry
 from repro.parallel import analyze_partitions, ingest_logs, partition_index
-from repro.parallel.analysis import DEFAULT_PARTITIONS
+from repro.parallel.analysis import (DEFAULT_PARTITIONS, AnalysisTask,
+                                     process_partition)
+from repro.parallel.supervisor import SupervisorConfig
+from repro.resilience import CheckpointStore
+from repro.resilience.journal import RunJournal
 
 JOBS_MATRIX = [1, 2, 4]
 
@@ -107,13 +115,23 @@ class TestAnalysisJobsInvariance:
 class TestEagerStructures:
     def test_structure_cache_prefilled_for_every_multicert_chain(
             self, dataset, chains):
+        """Both structures of every multi-certificate chain come from the
+        engine: serving them is a cache hit, never a pair-match pass."""
         result = dataset.analyzer().analyze_chains(chains, jobs=1)
         multi = [c for c in chains.values() if c.length > 1]
         assert multi  # non-trivial corpus
-        assert len(result._structure_cache) == 2 * len(multi)
+        hits = instruments.STRUCTURE_CACHE_HIT.value
+        misses = instruments.STRUCTURE_CACHE_MISS.value
+        matches = (instruments.MATCH_MEMO_HIT.value
+                   + instruments.MATCH_MEMO_MISS.value)
         for chain in multi:
-            assert chain.key + ("L",) in result._structure_cache
-            assert chain.key + ("N",) in result._structure_cache
+            for require_leaf in (True, False):
+                result.structure_of(chain, require_leaf=require_leaf)
+        assert instruments.STRUCTURE_CACHE_MISS.value == misses
+        assert instruments.STRUCTURE_CACHE_HIT.value - hits \
+            == 2 * len(multi)
+        assert instruments.MATCH_MEMO_HIT.value \
+            + instruments.MATCH_MEMO_MISS.value == matches
 
     def test_prefilled_structures_match_fresh_analysis(self, dataset,
                                                        chains):
@@ -142,6 +160,51 @@ class TestEagerStructures:
             assert analysis.chain is chains[analysis.chain.key]
             assert analysis.structure.certificates \
                 is analysis.chain.certificates
+
+
+class _NoCertificates(pickle.Unpickler):
+    """Loads a pickle unless it holds a certificate object graph."""
+
+    def find_class(self, module, name):
+        if module == "repro.x509" or module.startswith("repro.x509."):
+            raise pickle.UnpicklingError(f"{module}.{name} in a partial")
+        return super().find_class(module, name)
+
+
+def _load_without_certificates(data: bytes):
+    return _NoCertificates(io.BytesIO(data)).load()
+
+
+class TestPartialsCarryDerivedStateOnly:
+    """What crosses a pool or store boundary after enrichment is derived
+    state — bytes and small tuples — never a certificate object graph."""
+
+    def test_journal_partials_and_enrichment_checkpoint(self, dataset,
+                                                        chains, tmp_path):
+        with RunJournal(str(tmp_path / "journal")) as journal:
+            result = dataset.analyzer().analyze_chains(
+                chains, jobs=1,
+                checkpoint=CheckpointStore(str(tmp_path / "checkpoints")),
+                supervise=SupervisorConfig(journal=journal))
+        assert result.hybrid.analyses  # non-trivial corpus
+        partials = glob.glob(str(tmp_path / "journal" / "partials" / "*"))
+        assert len(partials) == DEFAULT_PARTITIONS
+        enrichment = tmp_path / "checkpoints" / "stage-enrichment.ckpt"
+        for path in partials + [str(enrichment)]:
+            with open(path, "rb") as handle:
+                envelope = _load_without_certificates(handle.read())
+            assert envelope["payload"] is not None
+
+    def test_process_partition_result(self, dataset, chains):
+        task = AnalysisTask(index=0, chains=tuple(chains.values()),
+                            registry=dataset.registry,
+                            disclosures=dataset.disclosures,
+                            interception_keys=frozenset())
+        partial = process_partition(task)
+        assert partial.hybrid and partial.structures
+        loaded = _load_without_certificates(pickle.dumps(partial))
+        assert loaded.categories == partial.categories
+        assert loaded.structures == partial.structures
 
 
 class TestPartitioning:

@@ -21,8 +21,8 @@ from repro.core.chain import aggregate_chains
 from repro.core.pipeline import ChainStructureAnalyzer
 from repro.faults import FaultPlan
 from repro.obs.metrics import get_registry
-from repro.parallel import discover_shards, ingest_logs, ingest_shards, \
-    split_zeek_log
+from repro.parallel import discover_shards, engine, ingest_logs, \
+    ingest_shards, split_zeek_log
 from repro.parallel.supervisor import SupervisorConfig
 from repro.resilience import Quarantine
 from repro.resilience.journal import RunJournal
@@ -181,6 +181,34 @@ class TestCorruptionEquivalence:
         degraded, _ = self._run(corpus, 2)
         assert degraded.ssl_rows + degraded.x509_rows < \
             clean.ssl_rows + clean.x509_rows
+
+
+class TestBroadcastX509DecodedOnce:
+    """Four shards joining one broadcast x509.log ship identical X509
+    sections, so the driver rebuilds each certificate once per ingest,
+    not once per shard — also under corruption, whose draws are keyed
+    by line number and so hit every shard's x509.log read alike."""
+
+    @pytest.mark.parametrize("plan", [None, TestCorruptionEquivalence.PLAN],
+                             ids=["clean", "par-chaos"])
+    def test_reconstruct_once_per_distinct_certificate(self, corpus,
+                                                       monkeypatch, plan):
+        reconstructed = []
+        original = engine.reconstruct_certificate
+
+        def counting(record):
+            reconstructed.append(record.fingerprint)
+            return original(record)
+
+        monkeypatch.setattr(engine, "reconstruct_certificate", counting)
+        ingest = ingest_shards(
+            corpus["shards"], jobs=2, plan=plan,
+            quarantine=Quarantine() if plan is not None else None)
+        assert len(corpus["shards"]) == 4
+        assert ingest.x509_rows >= 4 * len(ingest.cert_fingerprints)
+        assert reconstructed
+        assert sorted(reconstructed) == sorted(set(reconstructed))
+        assert set(reconstructed) == set(ingest.cert_fingerprints)
 
 
 class TestColumnarToggleEquivalence:

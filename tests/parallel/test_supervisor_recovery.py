@@ -19,6 +19,9 @@ incident tallies.
 
 from __future__ import annotations
 
+import os
+import shutil
+
 import pytest
 
 from repro.campus.dataset import cached_campus_dataset, resolve_scale
@@ -66,7 +69,6 @@ def _chaos_env(monkeypatch):
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
-    import shutil
     base = tmp_path_factory.mktemp("chaos-corpus")
     dataset = cached_campus_dataset(seed="par-eq", scale="small")
     ssl_path, x509_path = dataset.write_zeek_logs(str(base / "whole"))
@@ -100,6 +102,30 @@ def reference(corpus):
     assert ingest.chains  # non-trivial corpus
     return {"canon": canon(ingest.chains), "tallies": tallies(ingest),
             "ingest": ingest}
+
+
+def established(ingest):
+    return sum(chain.usage.established for chain in ingest.chains.values())
+
+
+def flip_established(path) -> int:
+    """Rewrite every ``established`` T as F in place; returns the flips."""
+    with open(path, "rb") as handle:
+        lines = handle.read().split(b"\n")
+    column = None
+    flips = 0
+    for i, line in enumerate(lines):
+        if line.startswith(b"#fields"):
+            column = line.split(b"\t")[1:].index(b"established")
+        elif line and not line.startswith(b"#"):
+            cells = line.split(b"\t")
+            if cells[column] == b"T":
+                cells[column] = b"F"
+                lines[i] = b"\t".join(cells)
+                flips += 1
+    with open(path, "wb") as handle:
+        handle.write(b"\n".join(lines))
+    return flips
 
 
 def incident_count(kind, incident):
@@ -250,6 +276,35 @@ class TestJournalResume:
                 supervise=SupervisorConfig(journal=journal, resume=True))
         assert final.supervisor.journal_replayed == 4
         assert canon(final.chains) == reference["canon"]
+
+    def test_same_size_edit_recomputes_the_edited_shard(self, corpus,
+                                                        tmp_path):
+        """An in-place edit that keeps a shard's byte count (every
+        ``established`` T flipped to F) must read as stale on resume,
+        not replay the partial journaled before the edit."""
+        shard_dir = tmp_path / "shards"
+        shutil.copytree(os.path.dirname(corpus[0].ssl_path), shard_dir)
+        shards = discover_shards(str(shard_dir))
+        assert len(shards) == 4
+        assert len({spec.x509_path for spec in shards}) == 1  # broadcast
+        journal_dir = str(tmp_path / "journal")
+        with RunJournal(journal_dir) as journal:
+            ingest_shards(shards, jobs=2,
+                          supervise=SupervisorConfig(journal=journal))
+
+        edited = shards[1].ssl_path
+        size = os.path.getsize(edited)
+        assert flip_established(edited) > 0
+        assert os.path.getsize(edited) == size
+
+        with RunJournal(journal_dir) as journal:
+            resumed = ingest_shards(
+                shards, jobs=2,
+                supervise=SupervisorConfig(journal=journal, resume=True))
+        fresh = ingest_shards(shards, jobs=2)
+        assert resumed.supervisor.journal_replayed == 3
+        assert established(resumed) == established(fresh)
+        assert canon(resumed.chains) == canon(fresh.chains)
 
     def test_resume_under_chaos_still_byte_identical(self, corpus,
                                                      reference, tmp_path):
