@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from ..draws import randbelow, randbelow_many, randbelow_rounds
 from ..tls.connection import ConnectionRecord
 from ..tls.handshake import HandshakeSimulator, TLSClient, TLSServer
 from ..tls.messages import TLSVersion
@@ -30,13 +31,16 @@ from ..tls.policy import (
     PermissivePolicy,
     StrictPresentedChainPolicy,
     ValidationPolicy,
+    ValidationResult,
 )
 from ..truststores.registry import PublicDBRegistry
+from ..x509.certificate import Certificate
 from .profiles import PAPER, PORT_MODELS, ScaleConfig
-from .spec import ChainSpec
+from .spec import ChainSpec, ClientMix
 
 __all__ = ["ClientPools", "SpecPlan", "WorkloadGenerator",
-           "GENERATION_SHARDS", "STUDY_START", "STUDY_DAYS", "shard_window"]
+           "GENERATION_SHARDS", "STUDY_START", "STUDY_DAYS", "shard_window",
+           "memoize_verdicts"]
 
 STUDY_START = datetime(2020, 9, 1, tzinfo=timezone.utc)
 STUDY_DAYS = 365
@@ -74,7 +78,7 @@ class ClientPools:
 
         def make_pool(pool_name: str, reference: int, minimum: int = 4) -> None:
             size = max(minimum, round(reference * factor))
-            self._pools[pool_name] = [self._ip(rng) for _ in range(size)]
+            self._pools[pool_name] = self._ips(rng, size)
 
         make_pool("nonpub", PAPER.nonpub_client_ips)
         make_pool("hybrid", PAPER.hybrid_client_ips)
@@ -84,9 +88,12 @@ class ClientPools:
             make_pool(f"intercept:{category}", ips)
 
     @staticmethod
-    def _ip(rng: random.Random) -> str:
-        return (f"10.{rng.randint(16, 31)}."
-                f"{rng.randint(0, 255)}.{rng.randint(1, 254)}")
+    def _ips(rng: random.Random, count: int) -> List[str]:
+        """``count`` addresses ``10.a.b.c``, drawn per address as
+        ``randint(16, 31)``, ``randint(0, 255)``, ``randint(1, 254)``."""
+        octets = iter(randbelow_rounds(rng, (16, 256, 254), count))
+        return [f"10.{16 + second}.{third}.{1 + fourth}"
+                for second, third, fourth in zip(octets, octets, octets)]
 
     def pool(self, pool_name: str) -> List[str]:
         return self._pools.get(pool_name) or self._pools["general"]
@@ -116,13 +123,52 @@ class SpecPlan:
     #: Interval index of connection ``i``; indices ``< n_visible`` are the
     #: monitor-visible TLS 1.2 connections, the rest the TLS 1.3 slice.
     shard_of: Tuple[int, ...]
-    #: Intervals containing at least one monitor-visible connection —
-    #: precomputed for the x509 first-appearance ownership scan.
-    visible_shards: frozenset
 
     @property
     def total(self) -> int:
         return self.n_visible + self.n_tls13
+
+
+class _VerdictMemo(ValidationPolicy):
+    """A policy's verdicts, one per (presented chain, validity at ``at``).
+
+    Exact for :class:`BrowserPolicy` and
+    :class:`StrictPresentedChainPolicy` without a revocation checker:
+    they then read ``at`` only through ``is_valid_at`` on presented
+    certificates, and their trust-store lookups never change.  The
+    presented fingerprints plus those validity tests therefore decide
+    the verdict.  Pays because the same chain is validated by the same
+    policy on many connections.
+    """
+
+    def __init__(self, policy: ValidationPolicy):
+        self.policy = policy
+        self.name = policy.name
+        self._verdicts: Dict[tuple, ValidationResult] = {}
+
+    def validate(self, presented: Sequence[Certificate], *,
+                 at: datetime) -> ValidationResult:
+        key = (tuple([certificate.fingerprint for certificate in presented]),
+               tuple([certificate.is_valid_at(at)
+                      for certificate in presented]))
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self.policy.validate(presented, at=at)
+            self._verdicts[key] = verdict
+        return verdict
+
+
+def memoize_verdicts(policy: ValidationPolicy) -> ValidationPolicy:
+    """Wrap ``policy`` in a verdict memo where that is exact and pays.
+
+    A policy with a revocation checker reads ``at`` beyond the validity
+    tests, so it is returned as is; so is :class:`PermissivePolicy`,
+    which costs no more than a memo lookup.
+    """
+    if isinstance(policy, (BrowserPolicy, StrictPresentedChainPolicy)) \
+            and policy.revocation is None:
+        return _VerdictMemo(policy)
+    return policy
 
 
 class WorkloadGenerator:
@@ -145,12 +191,16 @@ class WorkloadGenerator:
         self.shards = shards
         self.pools = ClientPools(seed, scale)
         self._policies: Dict[str, ValidationPolicy] = {
-            "browser": BrowserPolicy(registry),
-            "browser_nss": BrowserPolicy(registry.restricted_to(["Mozilla"])),
-            "strict": StrictPresentedChainPolicy(registry),
+            "browser": memoize_verdicts(BrowserPolicy(registry)),
+            "browser_nss": memoize_verdicts(
+                BrowserPolicy(registry.restricted_to(["Mozilla"]))),
+            "strict": memoize_verdicts(StrictPresentedChainPolicy(registry)),
             "permissive": PermissivePolicy(),
         }
-        self._trusting_cache: Dict[tuple, BrowserPolicy] = {}
+        self._trusting_cache: Dict[tuple, ValidationPolicy] = {}
+        # Per-spec invariants, computed on first use.
+        self._server_ips: Dict[Optional[str], str] = {}
+        self._mix_weights: Dict[ClientMix, Tuple[Tuple[str, float], ...]] = {}
 
     # -- policy selection -----------------------------------------------------
 
@@ -160,10 +210,19 @@ class WorkloadGenerator:
         cache_key = tuple(a.fingerprint for a in spec.extra_anchors)
         policy = self._trusting_cache.get(cache_key)
         if policy is None:
-            policy = BrowserPolicy(self.registry,
-                                   extra_anchors=list(spec.extra_anchors))
+            policy = memoize_verdicts(BrowserPolicy(
+                self.registry, extra_anchors=list(spec.extra_anchors)))
             self._trusting_cache[cache_key] = policy
         return policy
+
+    def _weighted_policies(self, spec: ChainSpec
+                           ) -> Tuple[Tuple[ValidationPolicy, float], ...]:
+        """The spec's client mix as (policy, normalized weight) pairs."""
+        weights = self._mix_weights.get(spec.mix)
+        if weights is None:
+            weights = self._mix_weights[spec.mix] = spec.mix.weights()
+        return tuple((self._policy_for(kind, spec), weight)
+                     for kind, weight in weights)
 
     @staticmethod
     def _draw(rng: random.Random, weighted: Sequence[tuple[object, float]]):
@@ -214,10 +273,10 @@ class WorkloadGenerator:
             (p, w) for p, w in _normalized(PORT_MODELS[spec.port_model])))
         pool = self.pools.pool(spec.client_pool)
         subset_size = max(1, min(len(pool), round(n_visible * 0.7)))
-        clients = tuple(pool[rng.randrange(len(pool))]
-                        for _ in range(subset_size))
-        shard_of = tuple(rng.randrange(self.shards)
-                         for _ in range(n_visible + n_tls13))
+        clients = tuple([pool[index] for index in
+                         randbelow_many(rng, len(pool), subset_size)])
+        shard_of = tuple(randbelow_many(rng, self.shards,
+                                        n_visible + n_tls13))
         return SpecPlan(
             plan_id=plan_id,
             n_visible=n_visible,
@@ -225,7 +284,6 @@ class WorkloadGenerator:
             port=port,
             clients=clients,
             shard_of=shard_of,
-            visible_shards=frozenset(shard_of[:n_visible]),
         )
 
     def connection_count(self, spec: ChainSpec) -> int:
@@ -263,15 +321,15 @@ class WorkloadGenerator:
         sim = HandshakeSimulator(seed=f"workload-hs:{stream}")
         server = self._server_for(spec, plan)
         start, span = shard_window(shard, self.shards)
-        mix = spec.mix.weights()
+        policies = self._weighted_policies(spec)
         clients = plan.clients
         for i in indices:
-            kind = self._draw(rng, mix)
+            policy = self._draw(rng, policies)
             version = (TLSVersion.TLS13 if i >= plan.n_visible
                        else TLSVersion.TLS12)
             client = TLSClient(
-                ip=clients[rng.randrange(len(clients))],
-                policy=self._policy_for(kind, spec),
+                ip=clients[randbelow(rng, len(clients))],
+                policy=policy,
                 version=version,
                 sends_sni=rng.random() < spec.sni_rate,
             )
@@ -304,10 +362,14 @@ class WorkloadGenerator:
     def _server_ip(self, spec: ChainSpec) -> str:
         # Stable per-server external address (seeded, not hash()-based, so
         # it is reproducible across interpreter runs).
-        rng = random.Random(f"srvip:{spec.server_id}")
-        return (f"{rng.choice((93, 104, 151, 172, 185, 198, 203))}."
-                f"{rng.randint(1, 254)}.{rng.randint(1, 254)}."
-                f"{rng.randint(1, 254)}")
+        ip = self._server_ips.get(spec.server_id)
+        if ip is None:
+            rng = random.Random(f"srvip:{spec.server_id}")
+            ip = (f"{rng.choice((93, 104, 151, 172, 185, 198, 203))}."
+                  f"{rng.randint(1, 254)}.{rng.randint(1, 254)}."
+                  f"{rng.randint(1, 254)}")
+            self._server_ips[spec.server_id] = ip
+        return ip
 
 
 def _normalized(entries: Sequence[tuple[int, float]]) -> list[tuple[int, float]]:

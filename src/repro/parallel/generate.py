@@ -24,12 +24,13 @@ and their in-order concatenation (data rows; every header is pinned via
   (``workload:{seed}:{shard}:{digest}``), so a cell's bytes depend on
   nothing generated before it;
 * the x509 corpus-wide first-appearance dedup is reproduced from the
-  per-spec plans alone: a worker pre-seeds its seen-fingerprint set with
-  every certificate some earlier interval introduces, so certificate
-  rows land in exactly the piece (and order, and with the timestamp)
-  the serial monitoring tap would have recorded them — and because every
-  header is pinned, stitching piece 0's header block onto the in-order
-  data rows reproduces the serial ``x509.log`` byte for byte;
+  per-spec plans alone: each worker maps every certificate to the first
+  interval with a monitor-visible connection presenting it, and writes
+  a certificate's row only in that interval, at its first presenting
+  connection — exactly the piece (and order, and timestamp) the serial
+  monitoring tap would have recorded it in — and because every header
+  is pinned, stitching piece 0's header block onto the in-order data
+  rows reproduces the serial ``x509.log`` byte for byte;
 * workers leave no direct metrics behind (their observations are
   captured into telemetry and restored away — see
   :mod:`repro.obs.sink`); the driver replays canonical
@@ -91,6 +92,11 @@ class GenerateShardResult:
     ssl_rows: int = 0
     x509_rows: int = 0
     seconds: float = 0.0
+    #: ``(st_size, st_mtime_ns)`` of the shard and of the x509 piece as
+    #: the worker left them; a journal replay checks both files against
+    #: these.
+    ssl_stamp: Optional[Tuple[int, int]] = None
+    x509_stamp: Optional[Tuple[int, int]] = None
     #: What this worker observed, attached to the driver sink on merge.
     telemetry: Optional[WorkerTelemetry] = None
 
@@ -115,9 +121,10 @@ class GenerateResult:
     supervisor: Optional[SupervisedRun] = None
 
 
-#: Per-process context memo: (seed, scale) -> (context, plans).  Pool
-#: workers process several intervals each; the PKI/population build and
-#: the per-spec plans are identical for all of them, so pay once.
+#: Per-process context memo: (seed, scale) -> (context, plans, first
+#: appearances).  Pool workers process several intervals each; the
+#: PKI/population build, the per-spec plans and the first-appearance map
+#: are identical for all of them, so pay once.
 _CONTEXT_CACHE: Dict[tuple, tuple] = {}
 
 
@@ -129,48 +136,62 @@ def _context_for(seed: int | str, scale: ScaleConfig):
     if cached is None:
         context = build_generation_context(seed=seed, scale=scale)
         plans = [context.generator.plan_for(spec) for spec in context.specs]
-        cached = (context, plans)
+        cached = (context, plans, _first_appearances(context.specs, plans))
         _CONTEXT_CACHE.clear()  # one live context per worker is plenty
         _CONTEXT_CACHE[key] = cached
     return cached
 
 
-def _preseeded_fingerprints(specs, plans, shard: int) -> set:
-    """Certificates some interval before ``shard`` already introduced.
+def _first_appearances(specs, plans) -> Dict[str, int]:
+    """Fingerprint -> the interval whose x509 piece records it.
 
-    Walks earlier intervals in generation order (interval-major, then
-    spec order, then chain order) marking every certificate presented by
-    a cell with at least one monitor-visible connection — exactly the
-    first-appearance order of the serial monitoring tap, recovered from
-    the cheap per-spec plans without simulating anything.
+    That is the earliest interval holding a monitor-visible connection
+    of any spec that presents the certificate: the serial monitoring tap
+    records each certificate at its first presenting connection, and
+    generation walks intervals in order.  Recovered from the cheap
+    per-spec plans without simulating anything.
     """
-    seen: set = set()
-    for earlier in range(shard):
-        for spec, plan in zip(specs, plans):
-            if earlier in plan.visible_shards:
-                for certificate in spec.chain:
-                    seen.add(certificate.fingerprint)
-    return seen
+    first: Dict[str, int] = {}
+    for spec, plan in zip(specs, plans):
+        if not plan.n_visible:
+            continue
+        shard = min(plan.shard_of[:plan.n_visible])
+        for certificate in spec.chain:
+            fingerprint = certificate.fingerprint
+            if first.get(fingerprint, shard) >= shard:
+                first[fingerprint] = shard
+    return first
+
+
+def _file_stamp(path: str) -> Optional[Tuple[int, int]]:
+    """``(st_size, st_mtime_ns)`` of ``path``, or None when it is gone."""
+    try:
+        stat = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return stat.st_size, stat.st_mtime_ns
 
 
 def process_generate_shard(task: GenerateTask) -> GenerateShardResult:
     """Simulate one study-window interval and write its shard logs.
 
     Streams connection records straight into the two log writers: the
-    SSL row per connection, and an X509 row for each certificate not
-    introduced by an earlier interval (or earlier in this one) —
-    timestamped, like the serial tap, with the first presenting
-    connection's timestamp.
+    SSL row per connection, and an X509 row for each certificate this
+    interval introduces, at its first presenting connection —
+    timestamped, like the serial tap, with that connection's timestamp.
     """
     start = time.perf_counter()
     result = GenerateShardResult(shard=task.shard, ssl_path=task.ssl_path,
                                  x509_path=task.x509_path)
     with capture_telemetry("generate", task.shard) as telemetry, \
             trace_span("generate_shard", shard=task.shard):
-        context, plans = _context_for(task.seed, task.scale)
+        context, plans, first_appearances = _context_for(task.seed,
+                                                         task.scale)
         specs = context.specs
         generator = context.generator
-        seen = _preseeded_fingerprints(specs, plans, task.shard)
+        introduced = {fingerprint
+                      for fingerprint, shard in first_appearances.items()
+                      if shard == task.shard}
         with open(task.ssl_path, "w", encoding="utf-8") as ssl_handle, \
                 open(task.x509_path, "w", encoding="utf-8") as x509_handle:
             with ZeekLogWriter(ssl_handle, "ssl", SSLRecord.FIELDS,
@@ -186,11 +207,13 @@ def process_generate_shard(task: GenerateTask) -> GenerateShardResult:
                     result.ssl_rows += 1
                     for certificate in record.chain:
                         fingerprint = certificate.fingerprint
-                        if fingerprint not in seen:
-                            seen.add(fingerprint)
+                        if fingerprint in introduced:
+                            introduced.remove(fingerprint)
                             x509_writer.write_row(x509_record_from_certificate(
                                 certificate, record.timestamp).to_row())
                             result.x509_rows += 1
+    result.ssl_stamp = _file_stamp(task.ssl_path)
+    result.x509_stamp = _file_stamp(task.x509_path)
     result.telemetry = telemetry
     result.seconds = time.perf_counter() - start
     return result
@@ -199,7 +222,7 @@ def process_generate_shard(task: GenerateTask) -> GenerateShardResult:
 def _generate_fingerprint(task: GenerateTask) -> str:
     """Journal identity of one generation interval."""
     return input_fingerprint([
-        "generate-shard", task.shard, task.seed, task.scale,
+        "generate-shard-v2", task.shard, task.seed, task.scale,
         task.open_time, task.compiled, task.ssl_path, task.x509_path,
     ])
 
@@ -210,10 +233,12 @@ def _generate_partial_valid(task: GenerateTask,
 
     The payload is just tallies — the real output is the shard pair on
     disk, so a replay is vetoed (and the interval regenerated) when
-    either file has vanished since the journaled run was killed.
+    either file has vanished, or changed size or mtime, since the worker
+    that wrote it finished.
     """
-    return (os.path.exists(partial.ssl_path)
-            and os.path.exists(partial.x509_path))
+    return (partial.ssl_stamp is not None
+            and _file_stamp(partial.ssl_path) == partial.ssl_stamp
+            and _file_stamp(partial.x509_path) == partial.x509_stamp)
 
 
 def generate_dataset(out_dir: str, *,

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Dict, Optional, Sequence
 
+from ..draws import Alphabet, randbelow
 from ..x509.certificate import Certificate
 from .connection import ConnectionRecord, Endpoint
 from .messages import Alert, AlertDescription, CertificateMessage, ClientHello, TLSVersion
@@ -69,6 +70,15 @@ _ALERT_FOR_STATUS = {
 }
 
 
+#: Zeek-style connection UIDs: "C" plus 17 base62 characters.
+_UID_ALPHABET = Alphabet(
+    "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+
+#: Client ephemeral ports are ``randint(32768, 60999)`` draws.
+_EPHEMERAL_LOW = 32768
+_EPHEMERAL_COUNT = 60999 - _EPHEMERAL_LOW + 1
+
+
 class HandshakeSimulator:
     """Drives client↔server handshakes and emits monitor-view records."""
 
@@ -79,9 +89,7 @@ class HandshakeSimulator:
     def _next_uid(self) -> str:
         """Zeek-style connection UID (C + base62-ish random token)."""
         self._uid_counter += 1
-        alphabet = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-        token = "".join(self._rng.choice(alphabet) for _ in range(17))
-        return f"C{token}"
+        return f"C{_UID_ALPHABET.draw(self._rng, 17)}"
 
     def connect(self, client: TLSClient, server: TLSServer, *,
                 sni: Optional[str] = None,
@@ -105,7 +113,8 @@ class HandshakeSimulator:
         record = ConnectionRecord(
             uid=self._next_uid(),
             timestamp=when,
-            client=Endpoint(client.ip, client_port or self._rng.randint(32768, 60999)),
+            client=Endpoint(client.ip, client_port or (
+                _EPHEMERAL_LOW + randbelow(self._rng, _EPHEMERAL_COUNT))),
             server=server.endpoint,
             version=hello.version,
             sni=hello.sni,
@@ -116,6 +125,11 @@ class HandshakeSimulator:
         return HandshakeOutcome(record, alert, result.status)
 
 
+_VERSION_RANK = {version: rank for rank, version in enumerate(
+    (TLSVersion.TLS10, TLSVersion.TLS11, TLSVersion.TLS12, TLSVersion.TLS13))}
+
+
 def _negotiate(client_version: TLSVersion, server_version: TLSVersion) -> TLSVersion:
-    order = [TLSVersion.TLS10, TLSVersion.TLS11, TLSVersion.TLS12, TLSVersion.TLS13]
-    return min(client_version, server_version, key=order.index)
+    if _VERSION_RANK[server_version] < _VERSION_RANK[client_version]:
+        return server_version
+    return client_version

@@ -138,3 +138,26 @@ class TestJournalResume:
         assert "served from the run journal" in resumed_out
         with open(os.path.join(out, "x509.log"), "rb") as handle:
             assert handle.read() == first_x509
+
+    def test_generate_resume_regenerates_a_truncated_shard(self, tmp_path,
+                                                           capsys):
+        """A shard cut short after its interval was journaled must be
+        regenerated on resume, not replayed from the journal."""
+        clean = str(tmp_path / "clean")
+        assert main(["generate", "--out", clean, "--seed", "t",
+                     "--scale", "small", "--jobs", "1"]) == 0
+        out = str(tmp_path / "gen")
+        args = ["generate", "--out", out, "--seed", "t", "--scale", "small",
+                "--jobs", "1", "--run-journal", str(tmp_path / "journal")]
+        assert main(args) == 0
+        shard = os.path.join(out, "ssl-03.log")
+        os.truncate(shard, os.path.getsize(shard) // 2)
+        capsys.readouterr()
+
+        assert main(args + ["--resume"]) == 0
+        resumed_out = capsys.readouterr().out
+        assert "11 tasks served from the run journal" in resumed_out
+        for name in sorted(os.listdir(clean)):
+            with open(os.path.join(clean, name), "rb") as expected, \
+                    open(os.path.join(out, name), "rb") as resumed:
+                assert resumed.read() == expected.read(), name

@@ -8,11 +8,14 @@ exactly.  These tests pin that guarantee at every layer: raw bytes,
 behaviour under an active fault plan (generation draws from its own
 derived streams, so a plan must not perturb it), the closed
 generate → ingest → analyze loop against the in-memory pipeline, and
-exported counter values.
+exported counter values.  Every one of those compares the simulator
+with itself; the golden digests below pin the bytes themselves, so a
+change in how the generator consumes its RNG streams fails here too.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 import pytest
@@ -27,6 +30,24 @@ from repro.parallel import discover_shards, generate_dataset, ingest_shards
 
 JOBS_MATRIX = [1, 2, 4]
 SEED = "gen-eq"
+
+#: SHA-256 of every file ``generate_dataset(seed="gen-eq", scale=small,
+#: jobs=1)`` writes.  Generation does not depend on ``PYTHONHASHSEED``.
+GOLDEN_SHA256 = {
+    "ssl-00.log": "2597e1c1b97dbd81689921b1fae6797240a6939d23cec351967e5dd50b1a9d9f",
+    "ssl-01.log": "6b91d5c8438db65eb8c12fb5e88490ba7b55132293edc7c34176650125dab616",
+    "ssl-02.log": "0eaacea5ae24a717dfac92c733e8e7b4194c3d3add00639bb4e65e81b02d998b",
+    "ssl-03.log": "6301ed7d33780d01361b06c9136bbb0da25c34f52488f163cf1a35e189c8f902",
+    "ssl-04.log": "c4199751ca4ba4234fdd84f5dc2c73510a3ec362b74a3670266611c3a7aed84c",
+    "ssl-05.log": "c48cb72fad3c557f1fc117f28bb2a50f4c26d097cf3ba7d5200f5bfdd042cbea",
+    "ssl-06.log": "ef5dee8149ae39694fbcd8bb9d39e7fc7824c5b3422deec0af7b1e4ec455270c",
+    "ssl-07.log": "8e001e7537f96c7911001992453bb0f2e80d161172d3c0fd227d33ca816dbc90",
+    "ssl-08.log": "303b18e6a799f7e15394e75445712f216101d83adb7f31ed47f79cace570b580",
+    "ssl-09.log": "e19e84da122ce512c4ad0a24f431ff249bd89aeb217a283655364ffa1a7fc43f",
+    "ssl-10.log": "e38729a0ee56f5522cd8e4c91b2d65453320a63d0e374f79e7e12363933c3911",
+    "ssl-11.log": "70a78e18242d6865c05bcd51dfb986a6420db434af675af9ca57548fea9cf9e6",
+    "x509.log": "fbd50de4dc6f0cd9095ca8ae1361a0c21414c7bf4d76ad0e2335930959879b51",
+}
 
 
 def read_all(path):
@@ -70,6 +91,14 @@ def generated(tmp_path_factory, serial_logs):
 
 
 class TestGoldenByteIdentity:
+    def test_files_match_golden_digests(self, generated):
+        out = generated[1]["out"]
+        digests = {}
+        for name in sorted(os.listdir(out)):
+            with open(os.path.join(out, name), "rb") as handle:
+                digests[name] = hashlib.sha256(handle.read()).hexdigest()
+        assert digests == GOLDEN_SHA256
+
     def test_layout_is_ssl_shards_plus_broadcast_x509(self, generated):
         for jobs, run in generated.items():
             names = sorted(os.listdir(run["out"]))
