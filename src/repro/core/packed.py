@@ -1,38 +1,40 @@
 """Packed chain partials: the zero-pickle shard hand-off layout.
 
-The compiled parallel path returns a :class:`ShardAggregate` whose chain
-map pickles one ``ObservedChain`` object graph per distinct chain —
-reconstructed ``Certificate`` objects, ``DistinguishedName`` trees, sets
-and Counters — which the driver then unpickles only to merge.  This
-module replaces that hand-off with three pieces:
+Handing a chain map back from a worker would pickle one ``ObservedChain``
+object graph per distinct chain — reconstructed ``Certificate`` objects,
+``DistinguishedName`` trees, sets and Counters — which the driver would
+then unpickle only to merge.  This module replaces that hand-off with
+three pieces:
 
 * :func:`fold_ssl_segment` — the aggregation loop rewritten over the
   columnar reader's parallel arrays: chain keys are resolved **once per
   distinct interned ``cert_chain_fps`` cell** (not once per row) and the
   per-connection update is exactly one :meth:`ChainUsage.record` call,
-  so the fold reproduces legacy ``aggregate_chains`` semantics —
-  insertion order, missing-certificate tallies, empty-chain skips —
-  without materialising a row object;
-* :func:`pack_shard_payload` / :func:`unpack_shard_payload` — a compact
-  binary column layout (``bytes``) in two sections: the fold's output
-  (chain keys as positions in the X509 section's fingerprint order,
-  usage columns), and the shard's de-duplicated X509 rows.  Numeric
-  columns are native arrays with None-bitmaps, strings are ids against
-  a deduplicated string table *per section*, so the X509 section
-  depends on the X509 log alone: every shard that joined one broadcast
-  ``x509.log`` ships byte-identical X509 sections, and the driver
-  decodes each distinct section once instead of once per shard.
-  Pickling the resulting ``bytes`` blob is a memcpy;
-* :func:`materialize_chains` — the driver-side rebuild of the legacy
-  ``chains`` dict from unpacked columns plus a certificate map, in the
-  exact order the worker discovered the chains.
+  so the fold reproduces ``aggregate_chains`` semantics — insertion
+  order, missing-certificate tallies, empty-chain skips — without
+  materialising a row object;
+* two compact binary layouts (``bytes``), each decoded with its magic
+  and section length checked.  :func:`pack_x509_section` packs one
+  X509 log's de-duplicated rows once per log; :func:`pack_shard_payload`
+  packs one shard's fold output — usage columns, with chain keys as
+  positions in its X509 log's fingerprint list, so fingerprints travel
+  once, in the X509 section.  Numeric columns are native arrays with
+  None-bitmaps, strings are ids against a deduplicated string table per
+  section.  Pickling the resulting ``bytes`` blob is a memcpy;
+* :func:`materialize_chains` — the driver-side fold of one shard's
+  decoded columns straight into the merged chain map, in shard order:
+  a key's first appearance builds its ``ObservedChain``, a later one
+  adds into that usage with exactly the operations
+  :meth:`ChainUsage.merge` performs, so no per-shard ``ChainUsage``
+  ever exists.
 
-The layout is self-describing length-prefixed blobs, native byte order
-(worker and driver always share one machine)::
+The layout is a magic followed by one self-describing section of
+length-prefixed blobs, native byte order (worker and driver always
+share one machine)::
 
-    payload := "RPK1" | chain section length | x509 section length
-               | chain section | x509 section
-    section := body length | body | string count | (length, utf-8)*
+    chain payload := "RPK2" | section
+    x509 section  := "RPX1" | section
+    section       := body length | body | string count | (length, utf-8)*
 
 Sets round-trip through lists (set equality is order-free); ``Counter``
 key order — observable in merged output — is preserved exactly.
@@ -44,17 +46,16 @@ import struct
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Container, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .chain import ChainUsage, ObservedChain
 
 __all__ = ["ChainFold", "fold_ssl_segment", "ShardColumns", "X509Section",
-           "pack_shard_payload", "unpack_shard_payload",
-           "materialize_chains", "X509_COLUMN_SPEC"]
+           "pack_shard_payload", "unpack_shard_payload", "pack_x509_section",
+           "unpack_x509_section", "materialize_chains", "X509_COLUMN_SPEC"]
 
-_MAGIC = b"RPK1"
-#: Magic plus the two section lengths.
-_HEADER = struct.Struct("<4sQQ")
+_CHAIN_MAGIC = b"RPK2"
+_X509_MAGIC = b"RPX1"
 
 #: The shipped X509 columns: name and codec kind, in record-field order.
 #: Kinds: ``f`` nullable float, ``i`` nullable int, ``s`` string id,
@@ -90,7 +91,7 @@ class ChainFold:
     aggregated: int = 0
 
 
-def fold_ssl_segment(fold: ChainFold, *, known_fps: frozenset,
+def fold_ssl_segment(fold: ChainFold, *, known_fps: Container,
                      ts: Sequence, client_ip: Sequence, server_ip: Sequence,
                      port: Sequence, established: Sequence,
                      sni_ids: Sequence[int], sni_values: Sequence,
@@ -99,13 +100,15 @@ def fold_ssl_segment(fold: ChainFold, *, known_fps: frozenset,
 
     Mirrors ``iter_joined`` + ``aggregate_chains`` exactly: every row
     counts as joined, each referenced fingerprint absent from
-    ``known_fps`` counts as one missing certificate (per occurrence),
-    empty resolved keys are skipped, and usage updates go through
-    :meth:`ChainUsage.record` so every set/Counter/window semantic —
-    including ``None`` clients, SNI truthiness, and timestamp folds —
-    is the legacy code itself.  ``sni_ids``/``chain_ids`` index into
-    their intern tables' value lists; the chain key and its missing
-    count are resolved once per distinct interned cell.
+    ``known_fps`` (any container; shard workers pass their X509 log's
+    fingerprint → position map) counts as one missing certificate (per
+    occurrence), empty resolved keys are skipped, and usage updates go
+    through :meth:`ChainUsage.record` so every set/Counter/window
+    semantic — including ``None`` clients, SNI truthiness, and
+    timestamp folds — is the row path's code itself.
+    ``sni_ids``/``chain_ids`` index into their intern tables' value
+    lists; the chain key and its missing count are resolved once per
+    distinct interned cell.
     """
     # (resolved key, missing count) per distinct cert_chain_fps cell
     resolved: List[Optional[Tuple[tuple, int]]] = [None] * len(chain_values)
@@ -229,11 +232,11 @@ class _Reader:
                 pos += n
             if pos != len(view):
                 raise ValueError(
-                    "corrupt shard payload: section length mismatch")
+                    "corrupt packed section: length mismatch")
             self.strings = strings
         except struct.error as error:  # truncated or mangled hand-off
             raise ValueError(
-                f"corrupt shard payload: {error}") from error
+                f"corrupt packed section: {error}") from error
 
     def blob(self) -> memoryview:
         (n,) = struct.unpack_from("<Q", self._view, self._pos)
@@ -292,57 +295,102 @@ _READ_KIND = {"f": _Reader.float_column, "i": _Reader.int_column,
               "ss": _Reader.string_seq_column}
 
 
-# -- shard payloads -----------------------------------------------------------
+# -- payloads -----------------------------------------------------------------
 
-@dataclass(slots=True, eq=False)
+def _open(data: bytes, magic: bytes, what: str) -> "_Reader":
+    """Check ``data``'s magic and return a reader over its section."""
+    if data[:4] != magic:
+        raise ValueError(f"not a packed {what}")
+    return _Reader(memoryview(data)[4:])
+
+
+@dataclass(slots=True)
 class X509Section:
-    """One decoded X509 section: a shard's de-duplicated X509 rows.
+    """One decoded X509 section: an X509 log's de-duplicated rows.
 
-    Compared and hashed by identity: shards decoded through one
-    ``sections`` cache (see :func:`unpack_shard_payload`) share the
-    instance of their common section, so callers can key per-section
-    work — certificate reconstruction — on it.
+    ``columns`` holds the last row per fingerprint, in first-seen
+    fingerprint order, as name-keyed parallel columns (see
+    :data:`X509_COLUMN_SPEC`).
     """
 
-    #: Distinct certificate fingerprints, first-seen row order.
-    cert_fingerprints: List[Optional[str]]
-    #: De-duplicated X509 rows (last row per fingerprint, first-seen
-    #: fingerprint order) as name-keyed parallel columns.
     columns: Dict[str, list]
+
+    @property
+    def fingerprints(self) -> List[Optional[str]]:
+        """Distinct certificate fingerprints, first-seen row order —
+        the list shard payloads' chain-key positions index into."""
+        return self.columns["fingerprint"]
+
+
+def pack_x509_section(columns: Dict[str, list]) -> bytes:
+    """Pack one X509 log's de-duplicated rows (once per log)."""
+    writer = _Writer()
+    writer.counts([len(columns["fingerprint"])])
+    for name, kind in X509_COLUMN_SPEC:
+        _WRITE_KIND[kind](writer, columns[name])
+    return _X509_MAGIC + writer.render()
+
+
+def unpack_x509_section(section: bytes) -> X509Section:
+    """Inverse of :func:`pack_x509_section`."""
+    reader = _open(section, _X509_MAGIC, "X509 section")
+    (rows,) = reader.counts()
+    columns = {name: _READ_KIND[kind](reader)
+               for name, kind in X509_COLUMN_SPEC}
+    if any(len(column) != rows for column in columns.values()):
+        raise ValueError("corrupt X509 section: ragged columns")
+    return X509Section(columns=columns)
 
 
 @dataclass(slots=True)
 class ShardColumns:
-    """One shard's unpacked hand-off: chain partials + X509 section."""
+    """One shard's decoded chain columns, in worker discovery order.
 
-    chain_keys: List[Tuple[Optional[str], ...]]
-    usages: List[ChainUsage]
-    x509: X509Section
+    Chain ``i``'s key is ``key_lens[i]`` consecutive entries of
+    ``key_positions`` (positions in the X509 log's fingerprint list);
+    its ports are ``port_lens[i]`` consecutive ``(ports, port_counts)``
+    pairs in the worker's ``Counter`` insertion order.
+    """
 
-    @property
-    def cert_fingerprints(self) -> List[Optional[str]]:
-        return self.x509.cert_fingerprints
+    key_lens: List[int]
+    key_positions: List[int]
+    connections: List[int]
+    established: List[int]
+    sni_present: List[int]
+    first_seen: List[Optional[float]]
+    last_seen: List[Optional[float]]
+    client_ips: List[Optional[tuple]]
+    server_ips: List[Optional[tuple]]
+    snis: List[Optional[tuple]]
+    port_lens: List[int]
+    ports: List[Optional[int]]
+    port_counts: List[int]
 
-    @property
-    def x509_columns(self) -> Dict[str, list]:
-        return self.x509.columns
+    def chain_keys(self, fingerprints: Sequence[Optional[str]]
+                   ) -> List[Tuple[Optional[str], ...]]:
+        """Every chain key, resolved against the log's fingerprints."""
+        keys = []
+        pos = 0
+        for n in self.key_lens:
+            keys.append(tuple(fingerprints[p]
+                              for p in self.key_positions[pos:pos + n]))
+            pos += n
+        return keys
 
 
 def pack_shard_payload(*, chain_keys: Sequence[Tuple[Optional[str], ...]],
                        usages: Sequence[ChainUsage],
-                       cert_fingerprints: Sequence[Optional[str]],
-                       x509_columns: Dict[str, list]) -> bytes:
+                       positions: Mapping[Optional[str], int]) -> bytes:
     """Pack one shard's fold output into a compact ``bytes`` payload.
 
-    Every chain-key fingerprint must be one of ``cert_fingerprints`` (the
-    fold keeps known fingerprints only): keys travel as positions in
-    that list, so fingerprints are written once, in the X509 section.
+    Every chain-key fingerprint must be a key of ``positions`` (the fold
+    keeps known fingerprints only): keys travel as positions in the X509
+    log's fingerprint list, so fingerprints are written once, in the
+    X509 section.
     """
-    position = {fp: i for i, fp in enumerate(cert_fingerprints)}
     writer = _Writer()
-    writer.counts([len(chain_keys)])
     writer.counts([len(key) for key in chain_keys])
-    writer.counts([position[fp] for key in chain_keys for fp in key])
+    writer.counts([positions[fp] for key in chain_keys for fp in key])
     writer.counts([u.connections for u in usages])
     writer.counts([u.established for u in usages])
     writer.counts([u.sni_present for u in usages])
@@ -356,107 +404,80 @@ def pack_shard_payload(*, chain_keys: Sequence[Tuple[Optional[str], ...]],
     writer.counts([len(u.ports) for u in usages])
     writer.int_column([p for u in usages for p in u.ports])
     writer.counts([c for u in usages for c in u.ports.values()])
-    chains = writer.render()
-
-    writer = _Writer()
-    writer.string_column(cert_fingerprints)
-    n_x509 = len(next(iter(x509_columns.values()), []))
-    writer.counts([n_x509])
-    for name, kind in X509_COLUMN_SPEC:
-        _WRITE_KIND[kind](writer, x509_columns[name])
-    x509 = writer.render()
-    return b"".join([_HEADER.pack(_MAGIC, len(chains), len(x509)),
-                     chains, x509])
+    return _CHAIN_MAGIC + writer.render()
 
 
-def unpack_shard_payload(payload: bytes,
-                         sections: Optional[Dict[bytes, X509Section]] = None
-                         ) -> ShardColumns:
-    """Inverse of :func:`pack_shard_payload`.
+def unpack_shard_payload(payload: bytes) -> ShardColumns:
+    """Inverse of :func:`pack_shard_payload`: columns, no objects."""
+    reader = _open(payload, _CHAIN_MAGIC, "shard payload")
+    columns = ShardColumns(
+        key_lens=reader.counts(), key_positions=reader.counts(),
+        connections=reader.counts(), established=reader.counts(),
+        sni_present=reader.counts(), first_seen=reader.float_column(),
+        last_seen=reader.float_column(),
+        client_ips=reader.string_seq_column(),
+        server_ips=reader.string_seq_column(),
+        snis=reader.string_seq_column(), port_lens=reader.counts(),
+        ports=reader.int_column(), port_counts=reader.counts())
+    if (sum(columns.key_lens) != len(columns.key_positions)
+            or sum(columns.port_lens) != len(columns.ports)
+            or any(len(column) != len(columns.key_lens) for column in (
+                columns.connections, columns.established,
+                columns.sni_present, columns.first_seen, columns.last_seen,
+                columns.client_ips, columns.server_ips, columns.snis,
+                columns.port_lens))):
+        raise ValueError("corrupt shard payload: ragged columns")
+    return columns
 
-    ``sections`` caches decoded X509 sections by their bytes: payloads
-    whose sections are identical (shards of one broadcast X509 log)
-    decode it once and share the :class:`X509Section`.
+
+def materialize_chains(merged: Dict[tuple, ObservedChain],
+                       columns: ShardColumns,
+                       fingerprints: Sequence[Optional[str]],
+                       certificates: Mapping[Optional[str], object]) -> None:
+    """Fold one shard's decoded columns into ``merged``.
+
+    Called once per shard, in shard order.  A key's first appearance
+    builds its ``ObservedChain`` (certificates from ``certificates``,
+    which holds every fingerprint of the shard's X509 log) and its
+    ``ChainUsage``; a later appearance adds into that usage with
+    exactly the operations :meth:`ChainUsage.merge` performs — the same
+    set unions, the same ``Counter`` insertion order, the same
+    :meth:`ChainUsage.observe_timestamp` calls — so dict insertion
+    order, set contents and every ``Counter``'s key order match a
+    single pass over the shards in order.
     """
-    if payload[:4] != _MAGIC:
-        raise ValueError("not a packed shard payload")
-    try:
-        _, chains_len, x509_len = _HEADER.unpack_from(payload)
-    except struct.error as error:
-        raise ValueError(f"corrupt shard payload: {error}") from error
-    start = _HEADER.size
-    if len(payload) != start + chains_len + x509_len:
-        raise ValueError("corrupt shard payload: section length mismatch")
-    section = payload[start + chains_len:]
-    x509 = sections.get(section) if sections is not None else None
-    if x509 is None:
-        x509 = _unpack_x509_section(section)
-        if sections is not None:
-            sections[section] = x509
-    fingerprints = x509.cert_fingerprints
-
-    reader = _Reader(memoryview(payload)[start:start + chains_len])
-    (n_chains,) = reader.counts()
-    key_lens = reader.counts()
-    key_positions = reader.counts()
-    connections = reader.counts()
-    established = reader.counts()
-    sni_present = reader.counts()
-    first_seen = reader.float_column()
-    last_seen = reader.float_column()
-    client_ips = reader.string_seq_column()
-    server_ips = reader.string_seq_column()
-    snis = reader.string_seq_column()
-    port_lens = reader.counts()
-    flat_ports = reader.int_column()
-    flat_counts = reader.counts()
-    chain_keys: List[Tuple[Optional[str], ...]] = []
-    pos = 0
-    for n in key_lens:
-        chain_keys.append(tuple(fingerprints[p]
-                                for p in key_positions[pos:pos + n]))
-        pos += n
-    usages: List[ChainUsage] = []
-    pos = 0
-    for i in range(n_chains):
-        ports: Counter = Counter()
-        for _ in range(port_lens[i]):
-            ports[flat_ports[pos]] = flat_counts[pos]
-            pos += 1
-        usages.append(ChainUsage(
-            connections=connections[i], established=established[i],
-            client_ips=set(client_ips[i] or ()), ports=ports,
-            sni_present=sni_present[i], snis=set(snis[i] or ()),
-            first_seen=first_seen[i], last_seen=last_seen[i],
-            server_ips=set(server_ips[i] or ())))
-    return ShardColumns(chain_keys=chain_keys, usages=usages, x509=x509)
-
-
-def _unpack_x509_section(section: bytes) -> X509Section:
-    """Decode the X509 section of a :func:`pack_shard_payload` payload."""
-    reader = _Reader(section)
-    cert_fingerprints = reader.string_column()
-    (n_x509,) = reader.counts()
-    columns = {name: _READ_KIND[kind](reader)
-               for name, kind in X509_COLUMN_SPEC}
-    for column in columns.values():
-        if len(column) != n_x509:
-            raise ValueError("corrupt shard payload: ragged X509 columns")
-    return X509Section(cert_fingerprints=cert_fingerprints, columns=columns)
-
-
-def materialize_chains(chain_keys: Sequence[Tuple[Optional[str], ...]],
-                       usages: Sequence[ChainUsage],
-                       certificates: Dict[Optional[str], object]
-                       ) -> Dict[tuple, ObservedChain]:
-    """Rebuild the legacy ``chains`` dict from unpacked columns.
-
-    ``chain_keys`` arrive in worker discovery order, so the dict's
-    insertion order — which drives every Counter/set merge order in the
-    reduce — matches what ``aggregate_chains`` would have produced.
-    Every key fingerprint is present in ``certificates`` by
-    construction (the fold only keeps known fingerprints).
-    """
-    return {key: ObservedChain(tuple(certificates[fp] for fp in key),
-                               usage=usage)
-            for key, usage in zip(chain_keys, usages)}
+    ports, port_counts = columns.ports, columns.port_counts
+    port_pos = 0
+    for i, key in enumerate(columns.chain_keys(fingerprints)):
+        width = columns.port_lens[i]
+        chain = merged.get(key)
+        if chain is None:
+            counter: Counter = Counter()
+            for j in range(port_pos, port_pos + width):
+                counter[ports[j]] = port_counts[j]
+            merged[key] = ObservedChain(
+                tuple(certificates[fp] for fp in key),
+                usage=ChainUsage(
+                    connections=columns.connections[i],
+                    established=columns.established[i],
+                    client_ips=set(columns.client_ips[i] or ()),
+                    ports=counter, sni_present=columns.sni_present[i],
+                    snis=set(columns.snis[i] or ()),
+                    first_seen=columns.first_seen[i],
+                    last_seen=columns.last_seen[i],
+                    server_ips=set(columns.server_ips[i] or ())))
+        else:
+            usage = chain.usage
+            usage.connections += columns.connections[i]
+            usage.established += columns.established[i]
+            usage.client_ips |= set(columns.client_ips[i] or ())
+            usage.server_ips |= set(columns.server_ips[i] or ())
+            counter = usage.ports
+            for j in range(port_pos, port_pos + width):
+                counter[ports[j]] += port_counts[j]
+            usage.sni_present += columns.sni_present[i]
+            usage.snis |= set(columns.snis[i] or ())
+            for ts in (columns.first_seen[i], columns.last_seen[i]):
+                if ts is not None:
+                    usage.observe_timestamp(ts)
+        port_pos += width

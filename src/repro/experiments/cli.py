@@ -68,6 +68,13 @@ __all__ = ["main", "build_parser", "build_generate_parser",
 
 log = get_logger(__name__)
 
+#: Logs mode analyzes with the built-in root store alone; said once on
+#: stderr so a wrong Table 1/2 is never silent.
+NO_CONTEXT_WARNING = (
+    "certchain-analyze: warning: no CT index, vendor directory or "
+    "cross-sign disclosures for these logs: interception chains are "
+    "counted as non-public-only and Table 1 is empty")
+
 
 def package_version() -> str:
     """The installed distribution version (falls back to the source tree)."""
@@ -110,11 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "analysis (default: CPU count for ingestion, "
                              "serial analysis; capped at the CPU and shard "
                              "counts)")
-    parser.add_argument("--no-columnar", action="store_true",
-                        help="ingest through the row-object readers instead "
-                             "of the columnar struct-of-arrays hot path "
-                             "(outputs are byte-identical; this is the "
-                             "escape hatch)")
     parser.add_argument("--log-level", metavar="LEVEL", default=None,
                         choices=("debug", "info", "warning", "error"),
                         help="structured-logging level "
@@ -339,7 +341,6 @@ def _analyze_logs(args: argparse.Namespace,
                                 x509_path=args.x509_log)]
         ingest = ingest_shards(shards, jobs=args.jobs, plan=plan,
                                quarantine=quarantine,
-                               columnar=not args.no_columnar,
                                supervise=ingest_supervise)
     except OSError as exc:
         print(f"certchain-analyze: cannot read log: {exc}", file=sys.stderr)
@@ -358,8 +359,10 @@ def _analyze_logs(args: argparse.Namespace,
                   if args.checkpoint_dir else None)
     artifacts = (ArtifactStore(args.analysis_cache)
                  if args.analysis_cache else None)
-    # Without a trust-store snapshot every issuer is non-public; callers
-    # embedding the library can supply their own registry.
+    # Without an analysis context interception detection and cross-sign
+    # bridging are off; callers embedding the library can supply their
+    # own CT index, vendor directory and disclosures.
+    print(NO_CONTEXT_WARNING, file=sys.stderr)
     analyzer = ChainStructureAnalyzer(build_public_pki().registry)
     try:
         result = analyzer.analyze_ingest(ingest, checkpoint=checkpoint,

@@ -10,9 +10,10 @@ emitting canonical values — so outputs are byte-identical at any
   interval's handshakes and write ``ssl-NN.log``/``x509-NN.log`` shard
   files directly — the in-order concatenation reproduces the serial
   dataset write-out byte for byte;
-* **ingestion** (:mod:`repro.parallel.engine`): map shard files over
-  worker processes, reduce with ``ChainUsage.merge`` into the exact
-  chain map a serial pass yields;
+* **ingestion** (:mod:`repro.parallel.engine`): read each distinct
+  ``x509.log`` once, map SSL shard files over worker processes, fold
+  their chain columns in shard order into the exact chain map a serial
+  pass yields;
 * **analysis** (:mod:`repro.parallel.analysis`): partition the merged
   chain map by a stable hash of the chain key, enrich each partition
   (classify, categorise, eager ``ChainStructure``), merge in partition
@@ -57,28 +58,30 @@ from .supervisor import (
     run_supervised,
 )
 from .worker import (
-    ColumnarShardAggregate,
-    ShardAggregate,
+    ShardPartial,
     ShardTask,
+    X509Partial,
+    X509Task,
     process_shard,
-    process_shard_columnar,
+    process_x509_log,
 )
 
 __all__ = [
     "AnalysisPartial",
     "AnalysisTask",
-    "ColumnarShardAggregate",
     "EnrichedChains",
     "GenerateResult",
     "GenerateShardResult",
     "GenerateTask",
     "IngestResult",
-    "ShardAggregate",
+    "ShardPartial",
     "ShardSpec",
     "ShardTask",
     "SupervisedRun",
     "SupervisorConfig",
     "SupervisorIncident",
+    "X509Partial",
+    "X509Task",
     "run_supervised",
     "analyze_partitions",
     "discover_shards",
@@ -89,6 +92,6 @@ __all__ = [
     "partition_index",
     "process_generate_shard",
     "process_shard",
-    "process_shard_columnar",
+    "process_x509_log",
     "split_zeek_log",
 ]

@@ -27,13 +27,19 @@ pass at any ``jobs`` value:
   merged totals, so counter exports are identical at any ``jobs`` (only
   the worker gauge and timing histograms vary).
 
-**Derived state only.**  A partial carries decisions, never object
-graphs: categories, issuer classes, :func:`~repro.core.matching.pack_structure`
-pairs and :func:`~repro.core.hybrid.pack_analysis` verdicts — the
-encodings the analysis artifact stores.  The pool return, the run
-journal's partials and the ``enrichment`` checkpoint therefore pickle
-bytes and small tuples, and the driver reattaches them to its own
-chains (:meth:`~repro.core.pipeline.ChainStructureAnalyzer.analyze_chains`).
+**Keys in, derived state out.**  A task carries its partition's chain
+keys and the interception name keys, nothing else: the certificates
+(fingerprint → certificate), the registry and the disclosures are the
+dispatch's shared state (:func:`~repro.parallel.pool.shared_state`),
+which reaches each worker once through the pool initializer — with
+zero copies under the fork start method.  A partial carries decisions,
+never object graphs: categories, issuer classes,
+:func:`~repro.core.matching.pack_structure` pairs and
+:func:`~repro.core.hybrid.pack_analysis` verdicts — the encodings the
+analysis artifact stores.  The pool return, the run journal's partials
+and the ``enrichment`` checkpoint therefore pickle bytes and small
+tuples, and the driver reattaches them to its own chains
+(:meth:`~repro.core.pipeline.ChainStructureAnalyzer.analyze_chains`).
 """
 
 from __future__ import annotations
@@ -55,7 +61,8 @@ from ..obs.sink import WorkerTelemetry, capture_telemetry, get_sink
 from ..obs.tracing import trace_span
 from ..resilience.checkpoint import input_fingerprint
 from ..truststores.registry import PublicDBRegistry
-from .pool import clamp_jobs
+from ..x509.certificate import Certificate
+from .pool import clamp_jobs, shared_state
 from .supervisor import (SupervisedRun, SupervisorConfig, resolve_config,
                          run_supervised)
 
@@ -92,13 +99,21 @@ def partition_index(key: Tuple[str, ...], partitions: int) -> int:
 
 @dataclass(frozen=True, slots=True)
 class AnalysisTask:
-    """Everything one enrichment worker needs, picklable for the pool."""
+    """One partition to enrich, picklable for the pool: keys only."""
 
     index: int
-    chains: Tuple[ObservedChain, ...]
+    #: The partition's chain keys, in chain-map order.
+    keys: Tuple[Tuple[str, ...], ...]
+    interception_keys: FrozenSet[tuple]
+
+
+@dataclass(frozen=True, slots=True)
+class PartitionContext:
+    """What every partition of one dispatch reads: the shared state."""
+
+    certificates: Dict[str, Certificate]
     registry: PublicDBRegistry
     disclosures: Optional[CrossSignDisclosures]
-    interception_keys: FrozenSet[tuple]
 
 
 @dataclass(slots=True)
@@ -149,27 +164,32 @@ def process_partition(task: AnalysisTask) -> AnalysisPartial:
     """Enrich one partition: classify, categorise, build structures.
 
     Runs inside a worker process with metrics disabled (the driver emits
-    the canonical values from the merged result).  Fresh classifier /
-    categorizer / hybrid-analyzer instances per partition keep the work a
-    pure function of the task.  Structures and hybrid verdicts leave
-    packed: the partial holds no certificate, chain or structure object.
+    the canonical values from the merged result).  The chains are built
+    from the shared certificates (no usage: no stage reads it); fresh
+    classifier / categorizer / hybrid-analyzer instances per partition
+    keep the work a pure function of the task and the shared state.
+    Structures and hybrid verdicts leave packed: the partial holds no
+    certificate, chain or structure object.
     """
     start = time.perf_counter()
+    context: PartitionContext = shared_state()
+    certificates = context.certificates
     partial = AnalysisPartial(index=task.index)
     with capture_telemetry("analysis", task.index) as telemetry, \
             trace_span("enrich_partition", partition=task.index,
-                       chains=len(task.chains)):
-        classifier = CertificateClassifier(task.registry)
+                       chains=len(task.keys)):
+        classifier = CertificateClassifier(context.registry)
         categorizer = ChainCategorizer(classifier,
                                        set(task.interception_keys))
-        hybrid_analyzer = HybridAnalyzer(classifier, task.disclosures)
-        for chain in task.chains:
+        hybrid_analyzer = HybridAnalyzer(classifier, context.disclosures)
+        for key in task.keys:
+            chain = ObservedChain(tuple(certificates[fp] for fp in key))
             category = categorizer.category(chain)
             partial.categories.append((chain.key, category))
             structure_pair = None
             if chain.length > 1:
                 structure_pair = analyze_structure_pair(
-                    chain.certificates, disclosures=task.disclosures)
+                    chain.certificates, disclosures=context.disclosures)
                 partial.structures[chain.key] = (
                     pack_structure(structure_pair[0]),
                     pack_structure(structure_pair[1]))
@@ -200,14 +220,15 @@ def effective_analysis_jobs(jobs: int,
 def _partition_fingerprint(task: AnalysisTask) -> str:
     """Journal identity of one partition: its chain keys + name keys.
 
-    The registry and disclosures are deliberately *not* fingerprinted
-    (they do not pickle stably); a journal directory therefore belongs
-    to one analyzer configuration — the CLI namespaces per-engine
-    subdirectories under ``--run-journal`` for exactly that reason.
+    The shared state — certificates, registry, disclosures — is
+    deliberately *not* fingerprinted (the keys name the certificates;
+    the rest does not pickle stably); a journal directory therefore
+    belongs to one analyzer configuration — the CLI namespaces
+    per-engine subdirectories under ``--run-journal`` for exactly that
+    reason.
     """
     return input_fingerprint([
-        "analysis-partition-v2", task.index,
-        tuple(chain.key for chain in task.chains),
+        "analysis-partition-v2", task.index, task.keys,
         tuple(sorted(task.interception_keys)),
     ])
 
@@ -234,12 +255,15 @@ def analyze_partitions(chains: Dict[Tuple[str, ...], ObservedChain], *,
     if partitions is None:
         partitions = DEFAULT_PARTITIONS
     partitions = max(1, partitions)
-    keys = frozenset(interception_keys or ())
-    buckets: List[List[ObservedChain]] = [[] for _ in range(partitions)]
+    names = frozenset(interception_keys or ())
+    buckets: List[List[Tuple[str, ...]]] = [[] for _ in range(partitions)]
+    certificates: Dict[str, Certificate] = {}
     for key, chain in chains.items():
-        buckets[partition_index(key, partitions)].append(chain)
-    tasks = [AnalysisTask(index=i, chains=tuple(bucket), registry=registry,
-                          disclosures=disclosures, interception_keys=keys)
+        buckets[partition_index(key, partitions)].append(key)
+        for certificate in chain.certificates:
+            certificates[certificate.fingerprint] = certificate
+    tasks = [AnalysisTask(index=i, keys=tuple(bucket),
+                          interception_keys=names)
              for i, bucket in enumerate(buckets)]
     effective = effective_analysis_jobs(jobs, partitions)
     from ..faults.plan import active_plan
@@ -250,7 +274,10 @@ def analyze_partitions(chains: Dict[Tuple[str, ...], ObservedChain], *,
             "analysis", tasks, process_partition, jobs=effective,
             config=config,
             task_ids=lambda task, i: f"analysis:{task.index:04d}",
-            fingerprint_fn=_partition_fingerprint)
+            fingerprint_fn=_partition_fingerprint,
+            shared=PartitionContext(certificates=certificates,
+                                    registry=registry,
+                                    disclosures=disclosures))
     partials = [p for p in outcome.results if p is not None]
     enriched = _reduce(partials, partitions=partitions,
                        effective_jobs=effective)

@@ -25,18 +25,28 @@ worker-crash/worker-hang faults to pool attempts only (the in-driver
 serial fallback must never re-draw them), and the heartbeat directory
 (:func:`heartbeat_dir`) workers touch beat files under so the driver
 can tell a *hung* task from a merely *queued* one.
+
+**Per-dispatch shared state.**  A third global carries one object that
+every task of a dispatch reads through :func:`shared_state` — the
+ingest engine's fingerprint positions, the enrichment engine's
+certificates and registry — instead of each task pickling its own
+copy.  Workers receive it through the initializer's ``initargs``: a
+fork-started worker inherits it with zero copies, a spawn or
+forkserver worker unpickles it once.  In-process dispatch installs it
+for the duration with :func:`sharing`.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Optional
+from contextlib import contextmanager
+from typing import Any, Iterator, Optional
 
 from ..obs.logging import configure_logging, current_log_level
 
 __all__ = ["NO_CPU_CLAMP_VAR", "clamp_jobs", "make_pool", "kill_pool",
-           "in_pool_worker", "heartbeat_dir"]
+           "in_pool_worker", "heartbeat_dir", "shared_state", "sharing"]
 
 #: Set to ``1``/``true`` to lift the CPU-count cap on worker pools.
 NO_CPU_CLAMP_VAR = "REPRO_PARALLEL_NO_CPU_CLAMP"
@@ -44,6 +54,10 @@ NO_CPU_CLAMP_VAR = "REPRO_PARALLEL_NO_CPU_CLAMP"
 #: Worker-process globals, set by the pool initializer (never the driver).
 _IN_POOL_WORKER = False
 _HEARTBEAT_DIR: Optional[str] = None
+
+#: The current dispatch's shared state: set by the pool initializer in
+#: workers, and by :func:`sharing` for in-process dispatch.
+_SHARED: Any = None
 
 
 def _cpu_clamp_lifted() -> bool:
@@ -78,23 +92,42 @@ def heartbeat_dir() -> Optional[str]:
     return _HEARTBEAT_DIR
 
 
-def _bootstrap_worker(level_name: str,
-                      heartbeat: Optional[str] = None) -> None:
+def shared_state() -> Any:
+    """The shared state of the dispatch this task belongs to (or None)."""
+    return _SHARED
+
+
+@contextmanager
+def sharing(shared: Any) -> Iterator[None]:
+    """Install ``shared`` in this process for the duration (in-process
+    dispatch: the inline path and the serial fallback)."""
+    global _SHARED
+    previous, _SHARED = _SHARED, shared
+    try:
+        yield
+    finally:
+        _SHARED = previous
+
+
+def _bootstrap_worker(level_name: str, heartbeat: Optional[str] = None,
+                      shared: Any = None) -> None:
     """Runs once in each fresh worker: mirror the driver's logging and
-    record the pool-worker globals the supervisor consults."""
-    global _IN_POOL_WORKER, _HEARTBEAT_DIR
+    record the pool-worker globals the supervisor and tasks consult."""
+    global _IN_POOL_WORKER, _HEARTBEAT_DIR, _SHARED
     _IN_POOL_WORKER = True
     _HEARTBEAT_DIR = heartbeat
+    _SHARED = shared
     configure_logging(level=level_name, force=True)
 
 
-def make_pool(workers: int, *,
-              heartbeat: Optional[str] = None) -> ProcessPoolExecutor:
-    """A process pool whose workers inherit the driver's log level."""
+def make_pool(workers: int, *, heartbeat: Optional[str] = None,
+              shared: Any = None) -> ProcessPoolExecutor:
+    """A process pool whose workers inherit the driver's log level and
+    the dispatch's ``shared`` state."""
     return ProcessPoolExecutor(
         max_workers=workers,
         initializer=_bootstrap_worker,
-        initargs=(current_log_level(), heartbeat))
+        initargs=(current_log_level(), heartbeat, shared))
 
 
 def kill_pool(pool: ProcessPoolExecutor) -> None:

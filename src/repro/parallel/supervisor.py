@@ -269,6 +269,7 @@ def run_supervised(kind: str, tasks: Sequence[Any],
                    task_ids: Optional[Callable[[Any, int], str]] = None,
                    fingerprint_fn: Optional[Callable[[Any], str]] = None,
                    validate_fn: Optional[Callable[[Any, Any], bool]] = None,
+                   shared: Any = None,
                    ) -> SupervisedRun:
     """Dispatch ``fn`` over ``tasks``, supervised; results in task order.
 
@@ -277,6 +278,13 @@ def run_supervised(kind: str, tasks: Sequence[Any],
     journal.  ``fingerprint_fn`` derives each task's input fingerprint
     for journaling; ``validate_fn(task, payload)`` may veto a journal
     replay whose side-effect files have vanished (generation shards).
+
+    ``shared`` is one object every task of this dispatch reads through
+    :func:`~repro.parallel.pool.shared_state` instead of carrying it:
+    pool workers (rebuilt ones included) receive it through the pool
+    initializer, and the inline path and the serial fallback install it
+    in-process while they run.  It is never part of a task, a task id
+    or a journal fingerprint.
     """
     config = config or SupervisorConfig()
     tasks = list(tasks)
@@ -323,21 +331,22 @@ def run_supervised(kind: str, tasks: Sequence[Any],
     if not pending:
         return run
 
-    if jobs <= 1:
-        with trace_span(f"supervised_{kind}", tasks=len(tasks), jobs=1):
-            for i in pending:
-                complete(i, fn(tasks[i]))
-        return run
-
-    _run_pool(kind, tasks, fn, ids=ids, pending=pending, jobs=jobs,
-              config=config, run=run, complete=complete)
+    with pool_mod.sharing(shared):
+        if jobs <= 1:
+            with trace_span(f"supervised_{kind}", tasks=len(tasks), jobs=1):
+                for i in pending:
+                    complete(i, fn(tasks[i]))
+        else:
+            _run_pool(kind, tasks, fn, ids=ids, pending=pending, jobs=jobs,
+                      config=config, run=run, complete=complete,
+                      shared=shared)
     return run
 
 
 def _run_pool(kind: str, tasks: List[Any], fn: Callable[[Any], Any], *,
               ids: List[str], pending: List[int], jobs: int,
               config: SupervisorConfig, run: SupervisedRun,
-              complete: Callable[..., None]) -> None:
+              complete: Callable[..., None], shared: Any) -> None:
     """The supervised pool loop: submit, watch, recover, drain."""
     # attempts[i] is the attempt number the *next* submission of task i
     # will carry — it keys the injector draw, so a free (uncharged)
@@ -346,7 +355,8 @@ def _run_pool(kind: str, tasks: List[Any], fn: Callable[[Any], Any], *,
     max_attempts = 1 + max(0, config.max_task_retries)
     heartbeat_root = (tempfile.mkdtemp(prefix="repro-supervise-")
                       if config.task_timeout is not None else None)
-    pool = pool_mod.make_pool(jobs, heartbeat=heartbeat_root)
+    pool = pool_mod.make_pool(jobs, heartbeat=heartbeat_root,
+                              shared=shared)
     futures: Dict[Future, int] = {}
     errors: Dict[int, BaseException] = {}
     poison: List[int] = []
@@ -398,7 +408,8 @@ def _run_pool(kind: str, tasks: List[Any], fn: Callable[[Any], Any], *,
         instruments.SUPERVISOR_POOL_REBUILDS.inc(kind=kind)
         log.warning("worker pool rebuilt", extra=kv(
             kind=kind, reason=reason, rebuilds=run.pool_rebuilds))
-        pool = pool_mod.make_pool(jobs, heartbeat=heartbeat_root)
+        pool = pool_mod.make_pool(jobs, heartbeat=heartbeat_root,
+                                  shared=shared)
 
     try:
         with trace_span(f"supervised_{kind}", tasks=len(tasks), jobs=jobs):

@@ -8,7 +8,7 @@ import shutil
 import pytest
 
 from repro.campus.dataset import cached_campus_dataset
-from repro.experiments.cli import main
+from repro.experiments.cli import NO_CONTEXT_WARNING, main
 from repro.parallel import split_zeek_log
 
 
@@ -121,3 +121,22 @@ class TestFlagValidation:
                   "--ssl-log", corpus["ssl"]])
         assert excinfo.value.code == 2
         assert "--shard-dir" in capsys.readouterr().err
+
+
+class TestMissingContextWarning:
+    """Logs mode analyzes without a CT index, vendor directory or
+    disclosures; it says so on stderr, once, and stdout is unchanged."""
+
+    def test_logs_mode_emits_exactly_the_warning(self, corpus, capsys):
+        for args in (["--shard-dir", corpus["shard_dir"], "--jobs", "2"],
+                     ["--ssl-log", corpus["ssl"],
+                      "--x509-log", corpus["x509"]]):
+            assert main(args) == 0
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [NO_CONTEXT_WARNING]
+            assert "warning" not in captured.out
+
+    def test_simulate_mode_does_not_warn(self, capsys):
+        assert main(["--scale", "small", "--seed", "cli-par",
+                     "-e", "table2"]) == 0
+        assert NO_CONTEXT_WARNING not in capsys.readouterr().err

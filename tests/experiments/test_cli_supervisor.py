@@ -111,10 +111,10 @@ class TestJournalResume:
                 "--run-journal", str(journal_dir)]
         assert main(args) == 0
         first_out = capsys.readouterr().out
-        # One namespaced journal per engine; four ingest shards.
+        # One namespaced journal per engine; one x509 log, four shards.
         ingest_lines = (journal_dir / "ingest"
                         / "journal.jsonl").read_text().splitlines()
-        assert len(ingest_lines) == 4
+        assert len(ingest_lines) == 5
         assert (journal_dir / "analysis" / "journal.jsonl").exists()
 
         assert main(args + ["--resume"]) == 0

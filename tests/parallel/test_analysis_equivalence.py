@@ -24,9 +24,11 @@ from repro.core.chain import aggregate_chains
 from repro.core.matching import analyze_structure
 from repro.obs import instruments
 from repro.obs.metrics import get_registry
-from repro.parallel import analyze_partitions, ingest_logs, partition_index
+from repro.parallel import (analysis, analyze_partitions, engine,
+                            ingest_logs, partition_index)
 from repro.parallel.analysis import (DEFAULT_PARTITIONS, AnalysisTask,
-                                     process_partition)
+                                     PartitionContext, process_partition)
+from repro.parallel.pool import sharing
 from repro.parallel.supervisor import SupervisorConfig
 from repro.resilience import CheckpointStore
 from repro.resilience.journal import RunJournal
@@ -196,15 +198,60 @@ class TestPartialsCarryDerivedStateOnly:
             assert envelope["payload"] is not None
 
     def test_process_partition_result(self, dataset, chains):
-        task = AnalysisTask(index=0, chains=tuple(chains.values()),
-                            registry=dataset.registry,
-                            disclosures=dataset.disclosures,
+        task = AnalysisTask(index=0, keys=tuple(chains),
                             interception_keys=frozenset())
-        partial = process_partition(task)
+        context = PartitionContext(
+            certificates={certificate.fingerprint: certificate
+                          for chain in chains.values()
+                          for certificate in chain.certificates},
+            registry=dataset.registry, disclosures=dataset.disclosures)
+        with sharing(context):
+            partial = process_partition(task)
         assert partial.hybrid and partial.structures
         loaded = _load_without_certificates(pickle.dumps(partial))
         assert loaded.categories == partial.categories
         assert loaded.structures == partial.structures
+
+
+def _record_submitted_tasks(monkeypatch, module, submitted):
+    """Pickle every task ``module`` hands to ``run_supervised``."""
+    original = module.run_supervised
+
+    def recording(kind, tasks, fn, **kwargs):
+        tasks = list(tasks)
+        submitted.extend(pickle.dumps(task) for task in tasks)
+        return original(kind, tasks, fn, **kwargs)
+
+    monkeypatch.setattr(module, "run_supervised", recording)
+
+
+class TestTasksCarryNoCertificates:
+    """Certificates cross into the workers once, as the dispatch's shared
+    state — never inside a task."""
+
+    def test_analysis_tasks_carry_keys_only(self, dataset, chains,
+                                            monkeypatch):
+        submitted = []
+        _record_submitted_tasks(monkeypatch, analysis, submitted)
+        analyze_partitions(chains, registry=dataset.registry,
+                           disclosures=dataset.disclosures, jobs=2)
+        assert len(submitted) == DEFAULT_PARTITIONS
+        keys = set()
+        for data in submitted:
+            task = _load_without_certificates(data)
+            keys.update(task.keys)
+        assert keys == set(chains)
+
+    def test_shard_tasks_carry_no_certificates(self, dataset, tmp_path,
+                                               monkeypatch):
+        ssl_path, x509_path = dataset.write_zeek_logs(str(tmp_path))
+        submitted = []
+        _record_submitted_tasks(monkeypatch, engine, submitted)
+        ingest = ingest_logs(ssl_path, x509_path, jobs=1)
+        assert ingest.chains
+        assert len(submitted) == 2  # the x509 log, then its one shard
+        for data in submitted:
+            _load_without_certificates(data)
 
 
 class TestPartitioning:

@@ -11,6 +11,7 @@ and checkpoint fingerprints.
 
 from __future__ import annotations
 
+import os
 import shutil
 
 import pytest
@@ -19,10 +20,10 @@ from repro.campus.dataset import cached_campus_dataset
 from repro.core.categorization import ChainCategory
 from repro.core.chain import aggregate_chains
 from repro.core.pipeline import ChainStructureAnalyzer
-from repro.faults import FaultPlan
+from repro.faults import FaultInjector, FaultPlan
 from repro.obs.metrics import get_registry
 from repro.parallel import discover_shards, engine, ingest_logs, \
-    ingest_shards, split_zeek_log
+    ingest_shards, split_zeek_log, worker
 from repro.parallel.supervisor import SupervisorConfig
 from repro.resilience import Quarantine
 from repro.resilience.journal import RunJournal
@@ -184,10 +185,10 @@ class TestCorruptionEquivalence:
 
 
 class TestBroadcastX509DecodedOnce:
-    """Four shards joining one broadcast x509.log ship identical X509
-    sections, so the driver rebuilds each certificate once per ingest,
-    not once per shard — also under corruption, whose draws are keyed
-    by line number and so hit every shard's x509.log read alike."""
+    """Four shards joining one broadcast x509.log: the log is read once,
+    its X509 section decoded once, and each certificate rebuilt once per
+    ingest — also under corruption, whose draws are keyed by line
+    number."""
 
     @pytest.mark.parametrize("plan", [None, TestCorruptionEquivalence.PLAN],
                              ids=["clean", "par-chaos"])
@@ -205,39 +206,156 @@ class TestBroadcastX509DecodedOnce:
             corpus["shards"], jobs=2, plan=plan,
             quarantine=Quarantine() if plan is not None else None)
         assert len(corpus["shards"]) == 4
-        assert ingest.x509_rows >= 4 * len(ingest.cert_fingerprints)
+        # x509_rows counts the one distinct log once, not once per shard.
+        _, rows = read_zeek_log(
+            corpus["shards"][0].x509_path, quarantine=Quarantine(),
+            faults=FaultInjector(plan) if plan is not None else None)
+        assert ingest.x509_rows == len(rows)
+        assert len(ingest.cert_fingerprints) <= ingest.x509_rows
         assert reconstructed
         assert sorted(reconstructed) == sorted(set(reconstructed))
         assert set(reconstructed) == set(ingest.cert_fingerprints)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_x509_log_read_once_per_ingest(self, corpus, monkeypatch,
+                                           tmp_path, jobs):
+        """One columnar read of the broadcast log per ingest, however
+        many shards join it (forked workers log their reads to a file)."""
+        calls = tmp_path / "reads"
+        original = worker.read_zeek_log_columnar
+
+        def logging_read(path, **kwargs):
+            with open(calls, "a", encoding="utf-8") as handle:
+                handle.write(os.path.basename(path) + "\n")
+            return original(path, **kwargs)
+
+        monkeypatch.setattr(worker, "read_zeek_log_columnar", logging_read)
+        monkeypatch.setenv("REPRO_PARALLEL_NO_CPU_CLAMP", "1")
+        ingest_shards(corpus["shards"], jobs=jobs)
+        reads = calls.read_text().splitlines()
+        assert reads.count("x509.log") == 1
+        assert len(reads) == 1 + len(corpus["shards"])
+
+
+class TestQuarantineOncePerRecord:
+    """Under corruption every quarantined line appears once: the x509
+    records are exactly one row-reader pass over ``x509.log``."""
+
+    def test_every_source_line_quarantined_once(self, corpus):
+        quarantine = Quarantine()
+        ingest_shards(corpus["shards"], jobs=2,
+                      plan=TestCorruptionEquivalence.PLAN,
+                      quarantine=quarantine)
+        pairs = [(record.source, record.line)
+                 for record in quarantine.records]
+        assert pairs
+        assert len(pairs) == len(set(pairs))
+
+        x509_path = corpus["shards"][0].x509_path
+        reference = Quarantine()
+        read_zeek_log(x509_path, quarantine=reference,
+                      faults=FaultInjector(TestCorruptionEquivalence.PLAN))
+        assert reference.records
+        assert [record for record in quarantine.records
+                if record.source == x509_path] == reference.records
+
+
+@pytest.fixture(scope="module")
+def paired(corpus, tmp_path_factory):
+    """The same four SSL shards, each beside its own copy of the x509
+    log (``ssl.log.NNN`` ↔ ``x509.log.NNN``): four distinct x509 logs."""
+    directory = tmp_path_factory.mktemp("paired-x509")
+    for spec in corpus["shards"]:
+        name = os.path.basename(spec.ssl_path)
+        shutil.copy(spec.ssl_path, directory / name)
+        shutil.copy(corpus["x509"], directory / ("x509" + name[len("ssl"):]))
+    shards = discover_shards(str(directory))
+    assert len({spec.x509_path for spec in shards}) == 4
+    return shards
+
+
+class TestOneX509LogPerShard:
+    def test_each_log_read_once_and_chains_unchanged(self, corpus, paired,
+                                                     monkeypatch):
+        monkeypatch.setenv("REPRO_PARALLEL_NO_CPU_CLAMP", "1")
+        reference = serial_chains(corpus["ssl"], corpus["x509"])
+        _, x509_rows = read_zeek_log(corpus["x509"])
+        for jobs in JOBS_MATRIX:
+            ingest = ingest_shards(paired, jobs=jobs)
+            assert canon(ingest.chains) == canon(reference)
+            assert ingest.x509_rows == 4 * len(x509_rows)
+            assert ingest.missing_certs == 0
+            assert len(ingest.supervisor.results) == 4 + 4
+
+    def test_dropped_x509_task_drops_its_shards_visibly(self, paired,
+                                                        monkeypatch):
+        """Poison x509 tasks with the serial fallback off: every shard
+        joining a dropped log is dropped as an incident and a quarantine
+        record, never joined against an empty fingerprint set."""
+        monkeypatch.setenv("REPRO_PARALLEL_NO_CPU_CLAMP", "1")
+        quarantine = Quarantine()
+        ingest = ingest_shards(
+            paired, jobs=2, quarantine=quarantine,
+            supervise=SupervisorConfig(
+                plan=FaultPlan(seed="drop-x509", worker_crash_rate=1.0),
+                max_task_retries=0, serial_fallback=False))
+        run = ingest.supervisor
+        assert run.results == [None] * 8
+        assert not ingest.chains and ingest.joined == 0
+        assert ingest.missing_certs == 0
+        dropped = [incident.task_id for incident in run.incidents
+                   if incident.incident == "x509_dropped"]
+        assert dropped == [f"ingest:{i:04d}" for i in range(4)]
+        assert [record.raw for record in quarantine.records
+                if record.reason == "x509_dropped"] == dropped
+        assert sum(record.reason == "poison_task"
+                   for record in quarantine.records) == 4
+        # The poison tasks are the x509 ones; the footer counts the drops.
+        assert run.quarantined == [f"ingest:x509:{i:04d}" for i in range(4)]
+        assert any("x509_dropped ×4" in line for line in run.summary_lines())
+
+
+def row_reader_quarantine(shards, plan):
+    """Quarantine of the row readers over each distinct file once, in
+    the engine's order: an X509 log before the first shard joining it."""
+    quarantine = Quarantine()
+    injector = FaultInjector(plan)
+    seen = set()
+    for spec in shards:
+        for path in (spec.x509_path, spec.ssl_path):
+            if path not in seen:
+                seen.add(path)
+                read_zeek_log(path, quarantine=quarantine, faults=injector)
+    return quarantine.records
+
 
 class TestColumnarToggleEquivalence:
-    """The columnar hot path (default) against its own escape hatch:
-    flipping ``columnar=False`` must change nothing observable."""
+    """The columnar engine against the row readers it replaced: the
+    serial reference path must observe exactly the same chains, tallies
+    and quarantine."""
 
     def test_chain_maps_identical_with_and_without_columnar(self, corpus):
+        reference = serial_chains(corpus["ssl"], corpus["x509"])
+        _, ssl_rows = read_zeek_log(corpus["ssl"], compiled=False)
         for jobs in JOBS_MATRIX:
             columnar = ingest_shards(corpus["shards"], jobs=jobs)
-            rowwise = ingest_shards(corpus["shards"], jobs=jobs,
-                                    columnar=False)
-            assert canon(columnar.chains) == canon(rowwise.chains)
-            assert columnar.cert_fingerprints == rowwise.cert_fingerprints
-            assert (columnar.ssl_rows, columnar.joined,
-                    columnar.missing_certs, columnar.aggregated,
-                    columnar.skipped_empty) == \
-                (rowwise.ssl_rows, rowwise.joined, rowwise.missing_certs,
-                 rowwise.aggregated, rowwise.skipped_empty)
+            assert canon(columnar.chains) == canon(reference)
+            assert columnar.ssl_rows == len(ssl_rows)
+            assert columnar.joined == len(ssl_rows)
+            assert columnar.missing_certs == 0
+            assert columnar.aggregated == sum(
+                chain.usage.connections for chain in reference.values())
+            assert columnar.skipped_empty == \
+                columnar.joined - columnar.aggregated
 
     def test_quarantine_parity_under_corruption(self, corpus):
         plan = FaultPlan(seed="col-chaos", zeek_corrupt_rate=0.05)
-        records = []
-        for columnar in (True, False):
-            quarantine = Quarantine()
-            ingest_shards(corpus["shards"], jobs=2, plan=plan,
-                          quarantine=quarantine, columnar=columnar)
-            records.append(quarantine.records)
-        assert records[0]  # the plan actually corrupted rows
-        assert records[0] == records[1]
+        quarantine = Quarantine()
+        ingest_shards(corpus["shards"], jobs=2, plan=plan,
+                      quarantine=quarantine)
+        expected = row_reader_quarantine(corpus["shards"], plan)
+        assert expected  # the plan actually corrupted rows
+        assert quarantine.records == expected
 
     def test_worker_crashes_with_journal_and_resume(self, corpus,
                                                     tmp_path, monkeypatch):

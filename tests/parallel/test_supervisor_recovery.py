@@ -252,19 +252,22 @@ class TestJournalResume:
         assert first.supervisor.journal_replayed == 0
         assert canon(first.chains) == reference["canon"]
 
-        # Simulate a driver killed after two shards: the first two
-        # journal lines survive intact, the third is torn mid-append.
+        # Simulate a driver killed after two shards: the x509 task's
+        # line (always first: it runs before the shards) and two shard
+        # lines survive intact, the next is torn mid-append.
         journal_path = journal_dir / JOURNAL_NAME
         lines = journal_path.read_text().splitlines()
-        assert len(lines) == 4  # one fsync'd line per completed shard
-        journal_path.write_text("\n".join(lines[:2]) + "\n"
-                                + lines[2][: len(lines[2]) // 2])
+        # one fsync'd line per completed task: the x509 log, four shards
+        assert len(lines) == 5
+        assert '"ingest:x509:0000"' in lines[0]
+        journal_path.write_text("\n".join(lines[:3]) + "\n"
+                                + lines[3][: len(lines[3]) // 2])
 
         with RunJournal(str(journal_dir)) as journal:
             resumed = ingest_shards(
                 corpus, jobs=2,
                 supervise=SupervisorConfig(journal=journal, resume=True))
-        assert resumed.supervisor.journal_replayed == 2
+        assert resumed.supervisor.journal_replayed == 3
         assert canon(resumed.chains) == reference["canon"]
         assert tallies(resumed) == reference["tallies"]
 
@@ -274,7 +277,7 @@ class TestJournalResume:
             final = ingest_shards(
                 corpus, jobs=2,
                 supervise=SupervisorConfig(journal=journal, resume=True))
-        assert final.supervisor.journal_replayed == 4
+        assert final.supervisor.journal_replayed == 5
         assert canon(final.chains) == reference["canon"]
 
     def test_same_size_edit_recomputes_the_edited_shard(self, corpus,
@@ -302,9 +305,46 @@ class TestJournalResume:
                 shards, jobs=2,
                 supervise=SupervisorConfig(journal=journal, resume=True))
         fresh = ingest_shards(shards, jobs=2)
-        assert resumed.supervisor.journal_replayed == 3
+        # the x509 task and the three untouched shards
+        assert resumed.supervisor.journal_replayed == 4
         assert established(resumed) == established(fresh)
         assert canon(resumed.chains) == canon(fresh.chains)
+
+    def test_same_size_x509_edit_recomputes_every_shard(self, corpus,
+                                                        tmp_path):
+        """Shard partials key their chains by positions in the x509
+        log's fingerprint list, so a same-size edit of that log must
+        make the x509 task and every shard joining it stale."""
+        shard_dir = tmp_path / "shards"
+        shutil.copytree(os.path.dirname(corpus[0].ssl_path), shard_dir)
+        shards = discover_shards(str(shard_dir))
+        journal_dir = str(tmp_path / "journal")
+        with RunJournal(journal_dir) as journal:
+            ingest_shards(shards, jobs=2,
+                          supervise=SupervisorConfig(journal=journal))
+
+        x509_path = shards[0].x509_path
+        with open(x509_path, "rb") as handle:
+            data = handle.read()
+        # Overwrite the first certificate row's fingerprint at constant
+        # size: the chains that reference it lose a certificate.
+        first = next(line for line in data.split(b"\n")
+                     if line and not line.startswith(b"#"))
+        fingerprint = first.split(b"\t")[1]
+        edited = data.replace(fingerprint, b"0" * len(fingerprint), 1)
+        assert len(edited) == len(data) and edited != data
+        with open(x509_path, "wb") as handle:
+            handle.write(edited)
+
+        with RunJournal(journal_dir) as journal:
+            resumed = ingest_shards(
+                shards, jobs=2,
+                supervise=SupervisorConfig(journal=journal, resume=True))
+        fresh = ingest_shards(shards, jobs=2)
+        assert resumed.supervisor.journal_replayed == 0
+        assert resumed.missing_certs > 0
+        assert canon(resumed.chains) == canon(fresh.chains)
+        assert tallies(resumed) == tallies(fresh)
 
     def test_resume_under_chaos_still_byte_identical(self, corpus,
                                                      reference, tmp_path):
@@ -316,7 +356,8 @@ class TestJournalResume:
                           supervise=SupervisorConfig(journal=journal))
         journal_path = journal_dir / JOURNAL_NAME
         lines = journal_path.read_text().splitlines()
-        journal_path.write_text("\n".join(lines[:2]) + "\n")
+        # keep the x509 task's line and the first two shards'
+        journal_path.write_text("\n".join(lines[:3]) + "\n")
 
         config = SupervisorConfig(plan=INGEST_CHAOS, max_task_retries=2,
                                   task_timeout=TASK_TIMEOUT,
@@ -324,6 +365,6 @@ class TestJournalResume:
         with RunJournal(str(journal_dir)) as journal:
             config.journal = journal
             resumed = ingest_shards(corpus, jobs=2, supervise=config)
-        assert resumed.supervisor.journal_replayed == 2
+        assert resumed.supervisor.journal_replayed == 3
         assert canon(resumed.chains) == reference["canon"]
         assert tallies(resumed) == reference["tallies"]
