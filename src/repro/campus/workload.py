@@ -23,8 +23,8 @@ from datetime import datetime, timedelta, timezone
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..draws import randbelow, randbelow_many, randbelow_rounds
-from ..tls.connection import ConnectionRecord
-from ..tls.handshake import HandshakeSimulator, TLSClient, TLSServer
+from ..tls.connection import ConnectionRecord, Endpoint
+from ..tls.handshake import HandshakeSimulator, negotiate
 from ..tls.messages import TLSVersion
 from ..tls.policy import (
     BrowserPolicy,
@@ -38,9 +38,9 @@ from ..x509.certificate import Certificate
 from .profiles import PAPER, PORT_MODELS, ScaleConfig
 from .spec import ChainSpec, ClientMix
 
-__all__ = ["ClientPools", "SpecPlan", "WorkloadGenerator",
+__all__ = ["ClientPools", "SpecPlan", "WorkloadGenerator", "CellRow",
            "GENERATION_SHARDS", "STUDY_START", "STUDY_DAYS", "shard_window",
-           "memoize_verdicts"]
+           "memoize_verdicts", "connection_of"]
 
 STUDY_START = datetime(2020, 9, 1, tzinfo=timezone.utc)
 STUDY_DAYS = 365
@@ -52,6 +52,11 @@ STUDY_DAYS = 365
 #: therefore every derived RNG stream and the output bytes) must be
 #: identical at any worker count.
 GENERATION_SHARDS = 12
+
+#: One simulated connection as the cell kernel yields it: the ``ssl.log``
+#: row (``SSLRecord.FIELDS`` order), its moment, and the chain the
+#: monitor saw (empty for the TLS 1.3 slice).
+CellRow = Tuple[list, datetime, Tuple[Certificate, ...]]
 
 
 def shard_window(shard: int, shards: int = GENERATION_SHARDS
@@ -172,15 +177,15 @@ def memoize_verdicts(policy: ValidationPolicy) -> ValidationPolicy:
 
 
 class WorkloadGenerator:
-    """Drives handshakes for every spec and yields monitor-view records.
+    """Simulates every spec's connections as the border monitor sees them.
 
     Generation is cell-structured: :meth:`generate_cell` simulates the
-    connections of one (interval, spec) pair from that cell's private RNG
-    stream and handshake simulator.  :meth:`generate` walks cells
-    shard-major (interval 0 for every spec, then interval 1, ...), which
-    is exactly the concatenation order of the parallel engine's per-shard
-    log files — so serial output and merged parallel output are
-    byte-identical by construction.
+    connections of one (interval, spec) pair, as ``ssl.log`` rows, from
+    that cell's private RNG and handshake streams.  :meth:`generate`
+    walks cells shard-major (interval 0 for every spec, then interval 1,
+    ...), which is exactly the concatenation order of the parallel
+    engine's per-shard log files — so serial output and merged parallel
+    output are byte-identical by construction.
     """
 
     def __init__(self, registry: PublicDBRegistry, *, seed: int | str,
@@ -291,25 +296,20 @@ class WorkloadGenerator:
 
     # -- generation -------------------------------------------------------------
 
-    def _server_for(self, spec: ChainSpec, plan: SpecPlan) -> TLSServer:
-        return TLSServer(
-            ip=self._server_ip(spec),
-            port=plan.port,
-            chain=spec.chain,
-            max_version=(TLSVersion.TLS13 if plan.n_tls13
-                         else TLSVersion.TLS12),
-            hostnames=(spec.hostname,) if spec.hostname else (),
-        )
-
     def generate_cell(self, spec: ChainSpec, shard: int, *,
-                      plan: Optional[SpecPlan] = None
-                      ) -> Iterator[ConnectionRecord]:
+                      plan: Optional[SpecPlan] = None) -> Iterator[CellRow]:
         """Simulate one (interval, spec) cell's connections.
 
-        The cell has its own RNG stream and handshake simulator, both
-        derived from (seed, interval, spec digest), so it depends on
-        nothing generated before it — any worker can produce it, in any
-        order, with identical output.
+        The one cell kernel: yields ``(ssl_row, when, visible_chain)``
+        per connection, the row in ``SSLRecord.FIELDS`` order.  The cell
+        has its own RNG stream and handshake stream, both derived from
+        (seed, interval, spec digest), so it depends on nothing generated
+        before it: any worker can produce it, in any order, with
+        identical output.  What is constant for the cell is computed
+        once; each connection makes the same draws, in the same order,
+        as ``HandshakeSimulator.connect`` for a ``TLSClient`` would
+        (policy roll, client, SNI roll, moment, then UID and port) plus
+        one verdict lookup.
         """
         if plan is None:
             plan = self.plan_for(spec)
@@ -318,35 +318,47 @@ class WorkloadGenerator:
             return
         stream = f"{self.seed}:{shard:02d}:{plan.plan_id}"
         rng = random.Random(f"workload:{stream}")
-        sim = HandshakeSimulator(seed=f"workload-hs:{stream}")
-        server = self._server_for(spec, plan)
+        draw_uid_and_port = HandshakeSimulator(
+            seed=f"workload-hs:{stream}").draw_uid_and_port
+        chain = spec.chain
+        server_version = (TLSVersion.TLS13 if plan.n_tls13
+                          else TLSVersion.TLS12)
+        # (version string, visible chain, its fingerprints) of the
+        # monitor-visible connections, then of the TLS 1.3 slice.
+        slices = []
+        for client_version in (TLSVersion.TLS12, TLSVersion.TLS13):
+            version = negotiate(client_version, server_version)
+            visible = (chain if version.certificates_visible_to_monitor
+                       else ())
+            slices.append((version.value, visible,
+                           tuple([c.fingerprint for c in visible])))
+        server_ip, server_port = self._server_ip(spec), plan.port
+        sni, sni_rate = spec.hostname, spec.sni_rate
         start, span = shard_window(shard, self.shards)
         policies = self._weighted_policies(spec)
+        draw = self._draw
         clients = plan.clients
+        n_clients, n_visible = len(clients), plan.n_visible
         for i in indices:
-            policy = self._draw(rng, policies)
-            version = (TLSVersion.TLS13 if i >= plan.n_visible
-                       else TLSVersion.TLS12)
-            client = TLSClient(
-                ip=clients[randbelow(rng, len(clients))],
-                policy=policy,
-                version=version,
-                sends_sni=rng.random() < spec.sni_rate,
-            )
+            policy = draw(rng, policies)
+            client_ip = clients[randbelow(rng, n_clients)]
+            sends_sni = rng.random() < sni_rate
             when = STUDY_START + timedelta(
                 seconds=start + rng.uniform(0, span))
-            outcome = sim.connect(client, server, sni=spec.hostname,
-                                  when=when)
-            yield outcome.record
+            verdict = policy.validate(chain, at=when)
+            uid, client_port = draw_uid_and_port()
+            version, visible, fingerprints = slices[i >= n_visible]
+            yield ([when.timestamp(), uid, client_ip, client_port,
+                    server_ip, server_port, version,
+                    sni if sends_sni else None, False, verdict.ok,
+                    fingerprints, verdict.detail], when, visible)
 
     def generate_for_spec(self, spec: ChainSpec) -> Iterator[ConnectionRecord]:
-        plan = self.plan_for(spec)
-        for shard in range(self.shards):
-            yield from self.generate_cell(spec, shard, plan=plan)
+        return self.generate([spec])
 
     def generate_shard(self, specs: Sequence[ChainSpec], shard: int, *,
                        plans: Optional[Sequence[SpecPlan]] = None
-                       ) -> Iterator[ConnectionRecord]:
+                       ) -> Iterator[CellRow]:
         """One interval's connections across every spec — a worker's unit."""
         if plans is None:
             plans = [self.plan_for(spec) for spec in specs]
@@ -354,10 +366,13 @@ class WorkloadGenerator:
             yield from self.generate_cell(spec, shard, plan=plan)
 
     def generate(self, specs: Iterable[ChainSpec]) -> Iterator[ConnectionRecord]:
+        """Every connection, shard-major, as in-memory records."""
         spec_list = list(specs)
         plans = [self.plan_for(spec) for spec in spec_list]
         for shard in range(self.shards):
-            yield from self.generate_shard(spec_list, shard, plans=plans)
+            for cell_row in self.generate_shard(spec_list, shard,
+                                                plans=plans):
+                yield connection_of(*cell_row)
 
     def _server_ip(self, spec: ChainSpec) -> str:
         # Stable per-server external address (seeded, not hash()-based, so
@@ -370,6 +385,18 @@ class WorkloadGenerator:
                   f"{rng.randint(1, 254)}")
             self._server_ips[spec.server_id] = ip
         return ip
+
+
+def connection_of(row: list, when: datetime,
+                  visible_chain: Tuple[Certificate, ...]) -> ConnectionRecord:
+    """The in-memory record of one cell-kernel row: the one adapter for
+    consumers of ``ConnectionRecord`` (the monitoring tap, the border
+    sensor)."""
+    return ConnectionRecord(
+        uid=row[1], timestamp=when, client=Endpoint(row[2], row[3]),
+        server=Endpoint(row[4], row[5]), version=TLSVersion(row[6]),
+        sni=row[7], established=row[9], chain=visible_chain,
+        validation_detail=row[11])
 
 
 def _normalized(entries: Sequence[tuple[int, float]]) -> list[tuple[int, float]]:

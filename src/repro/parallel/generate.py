@@ -57,7 +57,10 @@ from ..faults.plan import active_plan
 from ..resilience.checkpoint import input_fingerprint
 from ..zeek.format import ZeekLogWriter
 from .pool import clamp_jobs
-from ..zeek.records import (SSLRecord, X509Record, ssl_record_from_connection,
+# ``ssl_record_from_connection`` is not called here (the cell kernel
+# yields rows); ``perfbench/layers.py`` wraps it under this name.
+from ..zeek.records import (SSLRecord, X509Record,  # noqa: F401
+                            ssl_record_from_connection,
                             x509_record_from_certificate)
 from .shards import ShardSpec
 from .supervisor import (SupervisedRun, SupervisorConfig, resolve_config,
@@ -175,9 +178,9 @@ def _file_stamp(path: str) -> Optional[Tuple[int, int]]:
 def process_generate_shard(task: GenerateTask) -> GenerateShardResult:
     """Simulate one study-window interval and write its shard logs.
 
-    Streams connection records straight into the two log writers: the
-    SSL row per connection, and an X509 row for each certificate this
-    interval introduces, at its first presenting connection —
+    Streams the cell kernel's rows straight into the two log writers:
+    the SSL row per connection, and an X509 row for each certificate
+    this interval introduces, at its first presenting connection —
     timestamped, like the serial tap, with that connection's timestamp.
     """
     start = time.perf_counter()
@@ -200,17 +203,16 @@ def process_generate_shard(task: GenerateTask) -> GenerateShardResult:
                     ZeekLogWriter(x509_handle, "x509", X509Record.FIELDS,
                                   X509Record.TYPES, open_time=task.open_time,
                                   compiled=task.compiled) as x509_writer:
-                for record in generator.generate_shard(specs, task.shard,
-                                                       plans=plans):
-                    ssl_writer.write_row(
-                        ssl_record_from_connection(record).to_row())
+                for row, when, chain in generator.generate_shard(
+                        specs, task.shard, plans=plans):
+                    ssl_writer.write_row(row)
                     result.ssl_rows += 1
-                    for certificate in record.chain:
+                    for certificate in chain:
                         fingerprint = certificate.fingerprint
                         if fingerprint in introduced:
                             introduced.remove(fingerprint)
                             x509_writer.write_row(x509_record_from_certificate(
-                                certificate, record.timestamp).to_row())
+                                certificate, when).to_row())
                             result.x509_rows += 1
     result.ssl_stamp = _file_stamp(task.ssl_path)
     result.x509_stamp = _file_stamp(task.x509_path)

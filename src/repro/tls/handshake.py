@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..draws import Alphabet, randbelow
 from ..x509.certificate import Certificate
@@ -21,7 +21,8 @@ from .connection import ConnectionRecord, Endpoint
 from .messages import Alert, AlertDescription, CertificateMessage, ClientHello, TLSVersion
 from .policy import PermissivePolicy, ValidationPolicy, ValidationStatus
 
-__all__ = ["TLSServer", "TLSClient", "HandshakeOutcome", "HandshakeSimulator"]
+__all__ = ["TLSServer", "TLSClient", "HandshakeOutcome", "HandshakeSimulator",
+           "negotiate"]
 
 
 @dataclass
@@ -84,12 +85,17 @@ class HandshakeSimulator:
 
     def __init__(self, seed: int | str = 0):
         self._rng = random.Random(f"handshake:{seed}")
-        self._uid_counter = 0
 
-    def _next_uid(self) -> str:
-        """Zeek-style connection UID (C + base62-ish random token)."""
-        self._uid_counter += 1
-        return f"C{_UID_ALPHABET.draw(self._rng, 17)}"
+    def draw_uid_and_port(self, client_port: Optional[int] = None
+                          ) -> Tuple[str, int]:
+        """The next connection's Zeek-style UID ("C" plus 17 base62
+        characters), then its client ephemeral port unless ``client_port``
+        is given: the one handshake draw order, shared by :meth:`connect`
+        and the workload's cell kernel."""
+        rng = self._rng
+        uid = f"C{_UID_ALPHABET.draw(rng, 17)}"
+        return uid, client_port or (
+            _EPHEMERAL_LOW + randbelow(rng, _EPHEMERAL_COUNT))
 
     def connect(self, client: TLSClient, server: TLSServer, *,
                 sni: Optional[str] = None,
@@ -97,7 +103,7 @@ class HandshakeSimulator:
                 client_port: Optional[int] = None) -> HandshakeOutcome:
         """Run one handshake; returns the monitor-view outcome."""
         hello = ClientHello(
-            version=_negotiate(client.version, server.max_version),
+            version=negotiate(client.version, server.max_version),
             sni=sni if client.sends_sni else None,
         )
         message = server.certificate_message()
@@ -110,11 +116,11 @@ class HandshakeSimulator:
         visible_chain: tuple[Certificate, ...] = message.chain
         if not hello.version.certificates_visible_to_monitor:
             visible_chain = ()
+        uid, port = self.draw_uid_and_port(client_port)
         record = ConnectionRecord(
-            uid=self._next_uid(),
+            uid=uid,
             timestamp=when,
-            client=Endpoint(client.ip, client_port or (
-                _EPHEMERAL_LOW + randbelow(self._rng, _EPHEMERAL_COUNT))),
+            client=Endpoint(client.ip, port),
             server=server.endpoint,
             version=hello.version,
             sni=hello.sni,
@@ -129,7 +135,8 @@ _VERSION_RANK = {version: rank for rank, version in enumerate(
     (TLSVersion.TLS10, TLSVersion.TLS11, TLSVersion.TLS12, TLSVersion.TLS13))}
 
 
-def _negotiate(client_version: TLSVersion, server_version: TLSVersion) -> TLSVersion:
+def negotiate(client_version: TLSVersion, server_version: TLSVersion) -> TLSVersion:
+    """The version a handshake settles on: the lower of the two maxima."""
     if _VERSION_RANK[server_version] < _VERSION_RANK[client_version]:
         return server_version
     return client_version

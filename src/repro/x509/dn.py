@@ -13,8 +13,10 @@ leading ``#``/space and trailing space, and two-hex-digit escapes.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
+from operator import methodcaller
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..obs import instruments
@@ -81,8 +83,15 @@ def _needs_hex_escape(char: str) -> bool:
 
 
 def _escape_value(value: str) -> str:
-    if not value:
+    # Printable text (nothing to hex-escape) with no special character,
+    # leading ``#`` or space, or trailing space is its own escape.
+    if (value.isprintable() and _SPECIALS.isdisjoint(value)
+            and value[:1] not in ("#", " ") and value[-1:] != " "):
         return value
+    return _escape_chars(value)
+
+
+def _escape_chars(value: str) -> str:
     out: list[str] = []
     for index, char in enumerate(value):
         if char in _SPECIALS:
@@ -199,25 +208,8 @@ class DistinguishedName:
 
     @classmethod
     def _parse_uncached(cls, text: str) -> "DistinguishedName":
-        text = _strip_unescaped_spaces(text.strip("\r\n"))
-        if not text:
-            return cls(())
-        attrs: list[AttributeTypeAndValue] = []
-        for rdn in _split_unescaped(text, ","):
-            for atv in _split_unescaped(rdn, "+"):
-                atv = _strip_unescaped_spaces(atv)
-                if not atv:
-                    raise DNParseError(f"empty RDN component in {text!r}")
-                eq = _find_unescaped_equals(atv)
-                if eq < 0:
-                    raise DNParseError(f"missing '=' in RDN component {atv!r}")
-                attr_type = atv[:eq].strip()
-                if not attr_type:
-                    raise DNParseError(f"empty attribute type in {atv!r}")
-                attr_type = OID_NAMES.get(attr_type, attr_type)
-                value = _unescape_value(_strip_unescaped_spaces(atv[eq + 1 :]))
-                attrs.append(AttributeTypeAndValue(attr_type, value))
-        return cls(attrs)
+        plain = "\\" not in text and _SURROGATE.search(text) is None
+        return cls(_parse_attributes(text, plain=plain))
 
     # -- accessors ---------------------------------------------------------
 
@@ -370,3 +362,41 @@ def _find_unescaped_equals(raw: str) -> int:
             return i
         i += 1
     return -1
+
+
+#: A lone surrogate: ``_unescape_value`` cannot encode it as UTF-8.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+#: A parse's string operations: split, strip spaces, find the ``=``,
+#: unescape a value.  Text with no backslash and no lone surrogate
+#: (almost every name) escapes nothing, so plain string methods do
+#: exactly what the per-character walks do, errors included (``str``
+#: returns a value as it is).
+_PLAIN_OPS = (str.split, methodcaller("strip", " "), methodcaller("find", "="),
+              str)
+_ESCAPED_OPS = (_split_unescaped, _strip_unescaped_spaces,
+                _find_unescaped_equals, _unescape_value)
+
+
+def _parse_attributes(text: str, *, plain: bool
+                      ) -> list[AttributeTypeAndValue]:
+    split, strip, find, unescape = _PLAIN_OPS if plain else _ESCAPED_OPS
+    text = strip(text.strip("\r\n"))
+    if not text:
+        return []
+    attrs: list[AttributeTypeAndValue] = []
+    for rdn in split(text, ","):
+        for atv in split(rdn, "+"):
+            atv = strip(atv)
+            if not atv:
+                raise DNParseError(f"empty RDN component in {text!r}")
+            eq = find(atv)
+            if eq < 0:
+                raise DNParseError(f"missing '=' in RDN component {atv!r}")
+            attr_type = atv[:eq].strip()
+            if not attr_type:
+                raise DNParseError(f"empty attribute type in {atv!r}")
+            attr_type = OID_NAMES.get(attr_type, attr_type)
+            value = unescape(strip(atv[eq + 1 :]))
+            attrs.append(AttributeTypeAndValue(attr_type, value))
+    return attrs

@@ -53,7 +53,7 @@ class SSLRecord:
         return [
             self.ts, self.uid, self.id_orig_h, self.id_orig_p,
             self.id_resp_h, self.id_resp_p, self.version, self.server_name,
-            self.resumed, self.established, list(self.cert_chain_fps),
+            self.resumed, self.established, self.cert_chain_fps,
             self.validation_status,
         ]
 

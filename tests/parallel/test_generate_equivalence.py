@@ -27,9 +27,12 @@ from repro.core.chain import aggregate_chains
 from repro.faults import FaultPlan, clear_plan, install_plan
 from repro.obs.metrics import get_registry
 from repro.parallel import discover_shards, generate_dataset, ingest_shards
+from repro.parallel import generate as generate_module
 
 JOBS_MATRIX = [1, 2, 4]
 SEED = "gen-eq"
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 #: SHA-256 of every file ``generate_dataset(seed="gen-eq", scale=small,
 #: jobs=1)`` writes.  Generation does not depend on ``PYTHONHASHSEED``.
@@ -231,3 +234,33 @@ class TestJobsAndMetrics:
             [({"outcome": "ok"}, float(GENERATION_SHARDS))]
         for snapshot in snapshots[1:]:
             assert snapshot == snapshots[0]
+
+
+class TestBenchmarkLayerNames:
+    def test_generate_layer_records_every_required_span(self, tmp_path,
+                                                        monkeypatch):
+        """The benchmark times generation by wrapping call sites at the
+        names it looks up (``generate_shard``, ``ZeekLogWriter.write_row``,
+        ``ssl_record_from_connection``, ...).  A worker that stops calling
+        one of them, or a name that disappears, breaks the traced
+        benchmark run; this catches it in the test suite instead."""
+        monkeypatch.syspath_prepend(REPO_ROOT)
+        from perfbench import layers
+        from perfbench.tracer import Tracer
+
+        # A cached worker context would skip the context-build spans.
+        monkeypatch.setattr(generate_module, "_CONTEXT_CACHE", {})
+        handoff = tmp_path / "handoff"
+        handoff.mkdir()
+        tracer = Tracer(str(handoff))
+        layers.install(tracer)
+        try:
+            result = generate_module.generate_dataset(
+                str(tmp_path / "out"), seed=SEED,
+                scale=resolve_scale("small"), jobs=1)
+        finally:
+            tracer.restore()
+        assert layers.missing_metrics(["generate"], tracer.totals) == []
+        # Every row, SSL and X509, is written through ``write_row``.
+        assert tracer.totals.calls["generate.write_s"] == \
+            result.ssl_rows + result.x509_rows

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.x509 import dn as dn_module
 from repro.x509.dn import (
     AttributeTypeAndValue,
     DistinguishedName,
@@ -140,3 +141,68 @@ def test_property_normalized_casefold(value):
     a = DistinguishedName.from_pairs([("CN", value)])
     b = DistinguishedName.from_pairs([("CN", value.upper())])
     assert a.matches(b)
+
+
+# -- fast paths against the per-character walks --------------------------------
+
+#: RFC 4514 syntax, escapes (valid, invalid, dangling, non-UTF-8 hex),
+#: whitespace the walks treat specially, and a lone surrogate.
+_DN_TOKENS = st.sampled_from([
+    "CN", "O", "2.5.4.3", "=", ",", "+", " ", "  ", "#", '"', "<", ">", ";",
+    "\\", "\\,", "\\ ", "\\#", "\\=", "\\2c", "\\c3\\a9", "\\ff", "\\zz",
+    "\\4", "\r", "\n", "\t", "\x00", "\x7f", "\xa0", "\u2028", "\u200b",
+    "\xe9", "\xdf", "x", "a b", "\ud800",
+])
+_DN_VALUE = st.lists(_DN_TOKENS, max_size=6).map("".join)
+#: ``type=value`` pairs joined into RDNs, so values (where the walks
+#: unescape) are reached as often as the syntax errors before them.
+_DN_STRUCTURED = st.builds(
+    str.join, st.sampled_from([",", "+", " , "]),
+    st.lists(st.builds("{}={}".format,
+                       st.sampled_from(["CN", " O ", "2.5.4.3", "", "\t"]),
+                       _DN_VALUE),
+             min_size=1, max_size=4))
+_DN_TEXT = st.one_of(
+    _DN_STRUCTURED,
+    st.lists(_DN_TOKENS, max_size=16).map("".join),
+    st.text(max_size=24),
+)
+
+
+def _outcome(function, *args, **kwargs):
+    """A call's result, or the type and message of what it raised."""
+    try:
+        return "ok", function(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return "raised", type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=_DN_TEXT)
+@example(value="")
+@example(value="#x")
+@example(value="x ")
+@example(value="a\u2028b")
+@example(value="\u200b")
+@example(value="\ud800")
+def test_property_escape_fast_path_equals_character_walk(value):
+    assert dn_module._escape_value(value) == dn_module._escape_chars(value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_DN_TEXT)
+@example(text="CN=\ud800")
+@example(text=" CN = a\tb ,O=\xa0\r\n")
+def test_property_parse_fast_path_equals_character_walk(text):
+    """Same attributes, or the same error, for every input; the plain
+    path is only taken where it is exact."""
+    reference = _outcome(dn_module._parse_attributes, text, plain=False)
+    if "\\" not in text and dn_module._SURROGATE.search(text) is None:
+        assert _outcome(dn_module._parse_attributes, text,
+                        plain=True) == reference
+    parsed = _outcome(DistinguishedName._parse_uncached, text)
+    if reference[0] == "ok":
+        assert parsed == ("ok", DistinguishedName(reference[1]))
+    else:
+        assert parsed == reference
+
