@@ -17,8 +17,6 @@ from ..campus.dataset import CampusDataset
 from ..core.categorization import ChainCategorizer, ChainCategory
 from ..core.classification import CertificateClassifier
 from ..core.matching import analyze_structure
-from ..validation.compare import compare_validators
-from ..validation.corpus import build_validation_corpus
 from .base import ExperimentResult, comparison_table, experiment
 
 __all__ = ["run_ablation_crosssign", "run_ablation_truststores",
@@ -88,6 +86,10 @@ def run_ablation_truststores(dataset: CampusDataset) -> ExperimentResult:
 
 @experiment("ablation-blindspot")
 def run_ablation_blindspot(dataset: CampusDataset) -> ExperimentResult:
+    # The crypto-backed corpus (and ``cryptography``) loads on first use.
+    from ..validation.compare import compare_validators
+    from ..validation.corpus import build_validation_corpus
+
     corpus = build_validation_corpus(total=320, seed=dataset.seed,
                                      impersonated=16)
     result = compare_validators(corpus, disclosures=dataset.disclosures)

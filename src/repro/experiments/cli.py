@@ -40,18 +40,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..campus.dataset import cached_campus_dataset, resolve_scale
 from ..core.categorization import ChainCategory
 from ..core.pipeline import ChainStructureAnalyzer
 from ..core.report import render_table
 from ..faults import FaultPlan, clear_plan, install_plan
-from ..obs import benchreport
 from ..obs.exporters import RunReport, write_metrics_file
 from ..obs.logging import configure_logging, get_logger, kv
 from ..obs.metrics import get_registry
-from ..obs.server import MetricsServer
 from ..obs.sink import get_sink
 from ..obs.traceexport import write_trace
 from ..obs.tracing import get_tracer
@@ -62,6 +60,9 @@ from ..resilience import (ArtifactStore, CheckpointStore, Quarantine,
 from ..truststores import build_public_pki
 from ..zeek.format import ZeekFormatError
 from .base import registry, run_experiment
+
+if TYPE_CHECKING:
+    from ..obs.server import MetricsServer
 
 __all__ = ["main", "build_parser", "build_generate_parser",
            "package_version"]
@@ -264,6 +265,9 @@ def _start_server(args: argparse.Namespace) -> Optional[MetricsServer]:
     """Start the live-metrics endpoint when ``--serve-metrics`` was given."""
     if getattr(args, "serve_metrics", None) is None:
         return None
+    # Imported here: ``http.server`` costs every other run its start-up.
+    from ..obs.server import MetricsServer
+
     server = MetricsServer(args.serve_metrics, version=package_version())
     try:
         server.start()
@@ -446,6 +450,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if raw_argv and raw_argv[0] == "generate":
         return _generate(raw_argv[1:])
     if raw_argv and raw_argv[0] == "bench-report":
+        from ..obs import benchreport
+
         return benchreport.main(raw_argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -16,7 +16,6 @@ from ..core.issuers import concentration_index, issuer_statistics
 from ..core.overhead import estimate_overhead
 from ..core.serverchains import ChainChangeKind, analyze_multi_chain_servers
 from ..core.timeline import churn_summary, monthly_activity
-from ..scan.survey import run_survey
 from .base import ExperimentResult, comparison_table, experiment
 
 __all__ = ["run_overhead", "run_survey_experiment", "run_issuers",
@@ -49,6 +48,9 @@ def run_overhead(dataset: CampusDataset) -> ExperimentResult:
 
 @experiment("extension-survey")
 def run_survey_experiment(dataset: CampusDataset) -> ExperimentResult:
+    # The active-scan simulator loads on first use.
+    from ..scan.survey import run_survey
+
     report = run_survey(dataset, seed=dataset.seed)
     flat = report.share_by_mix(weighted=False)
     weighted = report.share_by_mix(weighted=True)

@@ -6,7 +6,6 @@ from __future__ import annotations
 from ..campus.dataset import CampusDataset
 from ..campus.profiles import PAPER
 from ..core.categorization import ChainCategory
-from ..scan.revisit import run_revisit
 from .base import ExperimentResult, comparison_table, experiment
 
 __all__ = ["run_section43", "run_section5"]
@@ -64,6 +63,9 @@ def run_section43(dataset: CampusDataset) -> ExperimentResult:
 @experiment("section5")
 def run_section5(dataset: CampusDataset) -> ExperimentResult:
     """§5: the November-2024 revisit."""
+    # The active-scan simulator loads on first use.
+    from ..scan.revisit import run_revisit
+
     report = run_revisit(dataset, seed=dataset.seed)
     le_share = (100.0 * report.hybrid_to_public_lets_encrypt
                 / report.hybrid_to_public if report.hybrid_to_public else 0.0)

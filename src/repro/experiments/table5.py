@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from ..campus.dataset import CampusDataset
 from ..campus.profiles import PAPER
-from ..validation.compare import Table5Result, compare_validators
-from ..validation.corpus import build_validation_corpus
 from .base import ExperimentResult, comparison_table, experiment
 
 __all__ = ["run_table5", "DEFAULT_CORPUS_SIZE"]
@@ -22,6 +20,10 @@ DEFAULT_CORPUS_SIZE = 1268
 @experiment("table5")
 def run_table5(dataset: CampusDataset, *,
                corpus_size: int = DEFAULT_CORPUS_SIZE) -> ExperimentResult:
+    # The crypto-backed corpus (and ``cryptography``) loads on first use.
+    from ..validation.compare import compare_validators
+    from ..validation.corpus import build_validation_corpus
+
     corpus = build_validation_corpus(corpus_size, seed=dataset.seed)
     result = compare_validators(corpus, disclosures=dataset.disclosures)
     rows = [
