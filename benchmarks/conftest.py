@@ -9,12 +9,19 @@ paper-vs-measured table under ``benchmarks/results/``.
 from __future__ import annotations
 
 import os
+import sys
+import warnings
 
 import pytest
 
 from repro.campus.dataset import cached_campus_dataset
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+
+#: Renderings that follow the string-hash seed (Figures 7/8 print a
+#: ``Counter`` in graph-node order); their tracked results are the ones
+#: hash seed 0 renders.
+HASH_ORDERED = frozenset({"figure7", "figure8"})
 
 #: Benchmarks run at the calibrated default scale unless overridden.
 BENCH_SEED = os.environ.get("REPRO_BENCH_SEED", "0")
@@ -33,7 +40,15 @@ def analysis(dataset):
 
 
 def record_result(result) -> None:
-    """Persist an experiment's rendered table for EXPERIMENTS.md."""
+    """Persist an experiment's rendered table for EXPERIMENTS.md.
+
+    A hash-ordered rendering is written only under ``PYTHONHASHSEED=0``,
+    so that a run under another seed leaves the tracked file as it is.
+    """
+    if result.exp_id in HASH_ORDERED and sys.flags.hash_randomization:
+        warnings.warn(f"{result.exp_id} follows the string-hash seed; "
+                      f"run with PYTHONHASHSEED=0 to record it")
+        return
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, f"{result.exp_id}.txt")
     with open(path, "w", encoding="utf-8") as handle:

@@ -10,10 +10,10 @@ gate on it.
 Two gates hold everywhere: a single-worker throughput floor, and the
 warm artifact run at least 5x faster than a cold compute.  The
 multi-core speedup assertion only runs where it is physically possible
-(``os.cpu_count() >= 4``).  Note the engine at ``jobs=1`` is *not*
-expected to beat the legacy serial stages — it eagerly computes both
-``ChainStructure`` variants for every multi-certificate chain, work the
-serial path defers — so no engine-vs-serial single-thread gate exists.
+(``os.cpu_count() >= 4``).  Neither path builds Table 8's structures
+(both compute them on first ``structure_of``), so the engine at
+``jobs=1`` does the serial stages' work plus its partition bookkeeping;
+no engine-vs-serial single-thread gate exists.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def test_warm_artifact_at_least_5x_faster_than_cold(analysis_bench):
                     reason="multi-core speedup needs >= 4 CPUs")
 def test_parallel_scaling_at_four_workers(analysis_bench):
     # Engine-vs-engine, not engine-vs-legacy: the serial stages skip the
-    # eager structure pass, so the fair parallelism baseline is jobs=1.
+    # partition bookkeeping, so the fair parallelism baseline is jobs=1.
     # Asserting a speedup only makes sense when the clamp actually let
     # more than one worker run — on a 1-CPU box "jobs=4" silently runs
     # inline and the ratio below would gate on hardware, not code.

@@ -358,16 +358,12 @@ class HybridAnalyzer:
             report.analyses.append(self.analyze_chain(chain))
         return report
 
-    def analyze_chain(self, chain: ObservedChain, *,
-                      structure: Optional[ChainStructure] = None,
-                      ) -> HybridChainAnalysis:
-        """Analyze one chain; ``structure`` may be supplied precomputed
-        (it must be this analyzer's ``require_leaf`` variant — the
-        parallel engine reuses the eager with-leaf structure here)."""
-        if structure is None:
-            structure = analyze_structure(chain.certificates,
-                                          disclosures=self.disclosures,
-                                          require_leaf=self.require_leaf)
+    def analyze_chain(self, chain: ObservedChain) -> HybridChainAnalysis:
+        """Analyze one chain, building its structure under this
+        analyzer's ``require_leaf`` rule."""
+        structure = analyze_structure(chain.certificates,
+                                      disclosures=self.disclosures,
+                                      require_leaf=self.require_leaf)
         classes = tuple(self.classifier.classify(c) for c in chain.certificates)
         anchored = self.classifier.chain_anchored_to_public_root(
             structure.path_certificates() or chain.certificates)

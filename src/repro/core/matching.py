@@ -32,7 +32,6 @@ __all__ = [
     "Segment",
     "ChainStructure",
     "analyze_structure",
-    "analyze_structure_pair",
     "match_pair",
     "is_leaf_like",
     "pack_structure",
@@ -271,34 +270,6 @@ def analyze_structure(chain: Sequence[Certificate], *,
         match_pair(child, parent, disclosures)
         for child, parent in zip(certs, certs[1:])
     )
-    return _structure_from_pairs(certs, pairs, require_leaf)
-
-
-def analyze_structure_pair(chain: Sequence[Certificate], *,
-                           disclosures: Optional[CrossSignDisclosures] = None,
-                           ) -> tuple[ChainStructure, ChainStructure]:
-    """Both ``require_leaf`` variants of one chain from a single
-    pair-match pass.
-
-    The pair verdicts do not depend on ``require_leaf`` — only the
-    segment ``has_leaf`` flags do — so eager enrichment (the parallel
-    analysis engine computes both variants for every multi-certificate
-    chain) matches pairs once instead of twice.  Returns
-    ``(with_leaf, without_leaf)``.
-    """
-    certs = tuple(chain)
-    pairs = tuple(
-        match_pair(child, parent, disclosures)
-        for child, parent in zip(certs, certs[1:])
-    )
-    return (_structure_from_pairs(certs, pairs, True),
-            _structure_from_pairs(certs, pairs, False))
-
-
-def _structure_from_pairs(certs: tuple[Certificate, ...],
-                          pairs: tuple[PairMatch, ...],
-                          require_leaf: bool) -> ChainStructure:
-    """Segment/path/ratio derivation shared by both entry points."""
     leaf_like = _leaf_like_index(certs) if (certs and require_leaf) else None
     segments: list[Segment] = []
     if certs:

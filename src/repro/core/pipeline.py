@@ -34,8 +34,7 @@ from .hybrid import (HybridAnalyzer, HybridReport, pack_analysis,
                      unpack_analysis)
 from .interception import InterceptionDetector, InterceptionReport, VendorDirectory
 from .lengths import LengthDistribution, length_distributions
-from .matching import (ChainStructure, analyze_structure, pack_structure,
-                       unpack_structure)
+from .matching import ChainStructure, analyze_structure
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..parallel.engine import IngestResult
@@ -93,12 +92,6 @@ class AnalysisResult:
     disclosures: Optional[CrossSignDisclosures]
     _structure_cache: Dict[tuple[str, ...], ChainStructure] = field(
         default_factory=dict)
-    #: Structures not yet decoded, from the enrichment engine or an
-    #: artifact: chain key -> packed (require_leaf=True,
-    #: require_leaf=False) structure encodings.  Decoded lazily so
-    #: neither path does per-structure Python work up front.
-    _packed_structures: Dict[tuple[str, ...], tuple] = field(
-        default_factory=dict)
 
     # -- structure access -------------------------------------------------------
 
@@ -109,18 +102,10 @@ class AnalysisResult:
         if cached is not None:
             instruments.STRUCTURE_CACHE_HIT.inc()
             return cached
-        packed_pair = self._packed_structures.get(chain.key)
-        packed = packed_pair[0 if require_leaf else 1] if packed_pair else None
-        if packed is not None:
-            # Decoding a packed artifact entry skips the pair matching —
-            # observable as a cache hit.
-            instruments.STRUCTURE_CACHE_HIT.inc()
-            cached = unpack_structure(chain.certificates, packed)
-        else:
-            instruments.STRUCTURE_CACHE_MISS.inc()
-            cached = analyze_structure(chain.certificates,
-                                       disclosures=self.disclosures,
-                                       require_leaf=require_leaf)
+        instruments.STRUCTURE_CACHE_MISS.inc()
+        cached = analyze_structure(chain.certificates,
+                                   disclosures=self.disclosures,
+                                   require_leaf=require_leaf)
         self._structure_cache[cache_key] = cached
         return cached
 
@@ -238,9 +223,14 @@ class ChainStructureAnalyzer:
 
     def _fingerprint(self, chains: Dict[tuple[str, ...], ObservedChain]
                      ) -> str:
-        """Identity of this run's input + configuration, for checkpoints."""
+        """Identity of this run's input + configuration, for checkpoints.
+
+        The version tag changes with what the stages persist (the
+        ``enrichment`` checkpoint holds the engine's partials), so a
+        resume never loads a stage of another layout.
+        """
         parts: List[object] = [
-            "analyzer-v2",
+            "analyzer-v3",
             type(self.registry).__name__,
             self.ct_index is not None,
             self.vendor_directory is not None,
@@ -272,28 +262,17 @@ class ChainStructureAnalyzer:
         Certificates, chains, and the classifier cache are reproducible
         from the caller's chain map, and unpickling them costs about as
         much as recomputing the analysis — so the artifact stores the
-        *decisions* (category per chain, hybrid verdicts, packed
-        structure encodings, cluster membership) keyed by chain key, and
-        :meth:`_rehydrate` reattaches them to live objects.
+        *decisions* (category per chain, hybrid verdicts, cluster
+        membership) keyed by chain key, and :meth:`_rehydrate` reattaches
+        them to live objects.  Table 8's structures are not among them:
+        ``structure_of`` computes each on first use, on every path.
         """
         categories = {}
         for category in ChainCategory:
             for chain in result.categorized.chains(category):
                 categories[chain.key] = category
-        structures = {}
-        for key in result.chains:
-            # Still-packed structures are carried as they are; decoded
-            # ones are packed again.
-            pair = list(result._packed_structures.get(key, (None, None)))
-            for i, suffix in enumerate(("L", "N")):
-                decoded = result._structure_cache.get(key + (suffix,))
-                if pair[i] is None and decoded is not None:
-                    pair[i] = pack_structure(decoded)
-            if pair != [None, None]:
-                structures[key] = tuple(pair)
         return {
             "categories": categories,
-            "structures": structures,
             "hybrid": [pack_analysis(analysis)
                        for analysis in result.hybrid.analyses],
             # Small on its own (issuers + name keys + chain keys), and
@@ -322,7 +301,6 @@ class ChainStructureAnalyzer:
             dga = [DGACluster(template=template,
                               chains=[chains[key] for key in keys])
                    for template, keys in state["dga"]]
-            packed_structures = dict(state["structures"])
             interception = state["interception"]
         except (KeyError, IndexError, TypeError, ValueError):
             log.warning("analysis artifact failed to rehydrate; recomputing")
@@ -335,7 +313,6 @@ class ChainStructureAnalyzer:
             dga_clusters=dga,
             classifier=CertificateClassifier(self.registry),
             disclosures=self.disclosures,
-            _packed_structures=packed_structures,
         )
 
     def analyze_chains(self, chains: Dict[tuple[str, ...], ObservedChain],
@@ -350,11 +327,10 @@ class ChainStructureAnalyzer:
         ``jobs=None`` keeps the historical serial stage sequence
         (interception → categorize → hybrid → dga).  Any integer ``jobs``
         routes stages 2–3 through the parallel enrichment engine
-        (:mod:`repro.parallel.analysis`), which additionally computes both
-        ``ChainStructure`` variants for every multi-certificate chain
-        eagerly and returns them packed, decoded on first
-        ``structure_of`` — the result is byte-identical either way, and
-        identical at every ``jobs`` value.
+        (:mod:`repro.parallel.analysis`).  Either way Table 8's
+        structures are computed on first ``structure_of``, and the
+        result is byte-identical between the two paths and at every
+        ``jobs`` value.
 
         ``artifacts`` layers the content-addressed cache on top: when a
         stored ``AnalysisResult`` matches this input + configuration +
@@ -401,7 +377,6 @@ class ChainStructureAnalyzer:
                     return detector.detect(chains.values())
                 interception = staged("interception", run_interception)
 
-            packed_structures: Dict[tuple[str, ...], tuple] = {}
             if jobs is None:
                 # Stage 2 — chain categorisation (serial).
                 with trace_span("categorize", chains=len(chains)):
@@ -425,10 +400,10 @@ class ChainStructureAnalyzer:
                         return hybrid_analyzer.analyze(hybrid_chains)
                     hybrid = staged("hybrid", run_hybrid)
             else:
-                # Stages 2+3 — sharded chain enrichment: categorisation,
-                # hybrid analysis, and eager structure computation fan out
-                # across partitions; the merge is byte-identical to the
-                # serial stages above at any jobs value.
+                # Stages 2+3 — sharded chain enrichment: categorisation
+                # and hybrid analysis fan out across partitions; the
+                # merge is byte-identical to the serial stages above at
+                # any jobs value.
                 from ..parallel.analysis import analyze_partitions
                 with trace_span("enrichment", chains=len(chains), jobs=jobs):
                     def run_enrichment():
@@ -464,13 +439,11 @@ class ChainStructureAnalyzer:
                 classifier.preload(enriched.classes)
                 hybrid_chains = categorized.chains(ChainCategory.HYBRID)
                 # The partials hold derived state only: verdicts are
-                # rebuilt against the driver's own chains, and structures
-                # stay packed until structure_of asks for them — as on a
-                # warm artifact load.
+                # rebuilt against the driver's own chains, as on a warm
+                # artifact load.
                 hybrid = HybridReport(analyses=[
                     unpack_analysis(chains, enriched.hybrid_by_key[chain.key])
                     for chain in hybrid_chains])
-                packed_structures = enriched.structures
 
             # Stage 4 — special populations.
             with trace_span("special_populations"):
@@ -492,7 +465,6 @@ class ChainStructureAnalyzer:
             dga_clusters=dga,
             classifier=classifier,
             disclosures=self.disclosures,
-            _packed_structures=packed_structures,
         )
         if artifacts is not None:
             artifacts.save("analysis", artifact_fp, self._dehydrate(result))

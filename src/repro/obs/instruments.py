@@ -133,9 +133,6 @@ ANALYSIS_WORKERS = _R.gauge(
 ANALYSIS_PARTITION_SECONDS = _R.histogram(
     "repro_analysis_partition_seconds",
     "Wall-clock seconds one worker spent enriching one chain partition.")
-ANALYSIS_STRUCTURES = _R.counter(
-    "repro_analysis_structures_total",
-    "ChainStructure objects computed eagerly by the analysis engine.")
 ANALYSIS_ARTIFACTS = _R.counter(
     "repro_analysis_artifacts_total",
     "Content-addressed analysis artifact events (hit/miss/stale/corrupt/"

@@ -16,8 +16,7 @@ emitting canonical values — so outputs are byte-identical at any
   pass yields;
 * **analysis** (:mod:`repro.parallel.analysis`): partition the merged
   chain map by a stable hash of the chain key, enrich each partition
-  (classify, categorise, eager ``ChainStructure``), merge in partition
-  order.
+  (classify, categorise, analyze hybrids), merge in partition order.
 
 All three (plus the scanner's ``scan_many``) dispatch through the
 **supervised executor** (:mod:`repro.parallel.supervisor`): worker

@@ -1,13 +1,12 @@
 """Parallel chain enrichment: partition the chain map, fan out, merge.
 
 The Figure-2 enrichment stages after interception — certificate
-classification, chain categorisation, and eager ``ChainStructure``
-computation for every multi-certificate chain — are embarrassingly
-parallel: each chain's verdicts depend only on the chain itself, the
-trust-store registry, the cross-sign disclosures, and the (already
-computed, driver-side) interception name keys.  This module fans those
-stages out across worker processes and merges the partial results into
-exactly what a serial pass produces.
+classification, chain categorisation and hybrid analysis — are
+embarrassingly parallel: each chain's verdicts depend only on the chain
+itself, the trust-store registry, the cross-sign disclosures, and the
+(already computed, driver-side) interception name keys.  This module
+fans those stages out across worker processes and merges the partial
+results into exactly what a serial pass produces.
 
 **Determinism.**  The merged enrichment is byte-identical to a serial
 pass at any ``jobs`` value:
@@ -33,13 +32,16 @@ keys and the interception name keys, nothing else: the certificates
 dispatch's shared state (:func:`~repro.parallel.pool.shared_state`),
 which reaches each worker once through the pool initializer — with
 zero copies under the fork start method.  A partial carries decisions,
-never object graphs: categories, issuer classes,
-:func:`~repro.core.matching.pack_structure` pairs and
+never object graphs: categories, issuer classes and
 :func:`~repro.core.hybrid.pack_analysis` verdicts — the encodings the
 analysis artifact stores.  The pool return, the run journal's partials
 and the ``enrichment`` checkpoint therefore pickle bytes and small
 tuples, and the driver reattaches them to its own chains
 (:meth:`~repro.core.pipeline.ChainStructureAnalyzer.analyze_chains`).
+No partition builds a ``ChainStructure`` beyond the with-leaf one each
+hybrid verdict needs: Table 8's structures are computed on first
+:meth:`~repro.core.pipeline.AnalysisResult.structure_of`, as on the
+serial path.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from ..core.chain import ObservedChain
 from ..core.classification import CertificateClassifier, IssuerClass
 from ..core.crosssign import CrossSignDisclosures
 from ..core.hybrid import HybridAnalyzer, pack_analysis
-from ..core.matching import analyze_structure_pair, pack_structure
 from ..obs import instruments
 from ..obs.logging import get_logger, kv
 from ..obs.sink import WorkerTelemetry, capture_telemetry, get_sink
@@ -126,13 +127,8 @@ class AnalysisPartial:
         default_factory=list)
     #: :func:`~repro.core.hybrid.pack_analysis` verdicts, chain key first.
     hybrid: List[tuple] = field(default_factory=list)
-    #: chain key -> packed (require_leaf=True, require_leaf=False)
-    #: structures.
-    structures: Dict[Tuple[str, ...], Tuple[tuple, tuple]] = field(
-        default_factory=dict)
     #: certificate fingerprint -> issuer class, for classifier preload.
     classes: Dict[str, IssuerClass] = field(default_factory=dict)
-    structures_built: int = 0
     seconds: float = 0.0
     #: What this worker observed, attached to the driver sink on merge.
     telemetry: Optional[WorkerTelemetry] = None
@@ -148,10 +144,6 @@ class EnrichedChains:
     #: chain key -> packed hybrid verdict, covering exactly the hybrid
     #: chains.
     hybrid_by_key: Dict[Tuple[str, ...], tuple] = field(default_factory=dict)
-    #: chain key -> packed (with-leaf, without-leaf) structures, covering
-    #: every multi-certificate chain.
-    structures: Dict[Tuple[str, ...], Tuple[tuple, tuple]] = field(
-        default_factory=dict)
     #: certificate fingerprint -> issuer class, for classifier preload.
     classes: Dict[str, IssuerClass] = field(default_factory=dict)
     partitions: int = 0
@@ -161,15 +153,15 @@ class EnrichedChains:
 
 
 def process_partition(task: AnalysisTask) -> AnalysisPartial:
-    """Enrich one partition: classify, categorise, build structures.
+    """Enrich one partition: classify, categorise, analyze hybrids.
 
     Runs inside a worker process with metrics disabled (the driver emits
     the canonical values from the merged result).  The chains are built
     from the shared certificates (no usage: no stage reads it); fresh
     classifier / categorizer / hybrid-analyzer instances per partition
     keep the work a pure function of the task and the shared state.
-    Structures and hybrid verdicts leave packed: the partial holds no
-    certificate, chain or structure object.
+    Hybrid verdicts leave packed: the partial holds no certificate,
+    chain or structure object.
     """
     start = time.perf_counter()
     context: PartitionContext = shared_state()
@@ -186,19 +178,9 @@ def process_partition(task: AnalysisTask) -> AnalysisPartial:
             chain = ObservedChain(tuple(certificates[fp] for fp in key))
             category = categorizer.category(chain)
             partial.categories.append((chain.key, category))
-            structure_pair = None
-            if chain.length > 1:
-                structure_pair = analyze_structure_pair(
-                    chain.certificates, disclosures=context.disclosures)
-                partial.structures[chain.key] = (
-                    pack_structure(structure_pair[0]),
-                    pack_structure(structure_pair[1]))
-                partial.structures_built += 2
             if category is ChainCategory.HYBRID:
                 partial.hybrid.append(pack_analysis(
-                    hybrid_analyzer.analyze_chain(
-                        chain, structure=structure_pair[0]
-                        if structure_pair else None)))
+                    hybrid_analyzer.analyze_chain(chain)))
         partial.classes = classifier.cached_classes()
     partial.telemetry = telemetry
     partial.seconds = time.perf_counter() - start
@@ -225,10 +207,11 @@ def _partition_fingerprint(task: AnalysisTask) -> str:
     the rest does not pickle stably); a journal directory therefore
     belongs to one analyzer configuration — the CLI namespaces
     per-engine subdirectories under ``--run-journal`` for exactly that
-    reason.
+    reason.  The version tag changes with :class:`AnalysisPartial`'s
+    fields, so a journal never replays a partial of another layout.
     """
     return input_fingerprint([
-        "analysis-partition-v2", task.index, task.keys,
+        "analysis-partition-v3", task.index, task.keys,
         tuple(sorted(task.interception_keys)),
     ])
 
@@ -284,8 +267,7 @@ def analyze_partitions(chains: Dict[Tuple[str, ...], ObservedChain], *,
     enriched.supervisor = outcome
     log.debug("parallel analysis complete", extra=kv(
         chains=len(chains), partitions=partitions, jobs=effective,
-        hybrid=len(enriched.hybrid_by_key),
-        structures=len(enriched.structures)))
+        hybrid=len(enriched.hybrid_by_key)))
     return enriched
 
 
@@ -294,7 +276,6 @@ def _reduce(partials: List[AnalysisPartial], *, partitions: int,
     """Merge partials in partition-index order; emit canonical metrics."""
     enriched = EnrichedChains(partitions=partitions,
                               effective_jobs=effective_jobs)
-    structures_built = 0
     sink = get_sink()
     for partial in sorted(partials, key=lambda p: p.index):
         sink.attach(partial.telemetry)
@@ -302,9 +283,7 @@ def _reduce(partials: List[AnalysisPartial], *, partitions: int,
             enriched.categories[key] = category
         for verdict in partial.hybrid:
             enriched.hybrid_by_key[verdict[0]] = verdict
-        enriched.structures.update(partial.structures)
         enriched.classes.update(partial.classes)
-        structures_built += partial.structures_built
         instruments.ANALYSIS_PARTITIONS.inc(outcome="ok")
         instruments.ANALYSIS_PARTITION_SECONDS.observe(partial.seconds)
     instruments.ANALYSIS_WORKERS.set(effective_jobs)
@@ -312,5 +291,4 @@ def _reduce(partials: List[AnalysisPartial], *, partitions: int,
                                     stage="categorize")
     instruments.ANALYSIS_CHAINS.inc(len(enriched.hybrid_by_key),
                                     stage="hybrid")
-    instruments.ANALYSIS_STRUCTURES.inc(structures_built)
     return enriched

@@ -50,6 +50,7 @@ from ..obs.tracing import trace_span
 from ..resilience.checkpoint import input_fingerprint
 from ..resilience.quarantine import Quarantine, QuarantinedRecord
 from ..x509.certificate import Certificate
+from ..zeek.columnar import load_numpy
 from ..zeek.records import X509Record
 from ..zeek.tap import reconstruct_certificate
 from .pool import clamp_jobs
@@ -172,6 +173,9 @@ def ingest_shards(shards: Iterable[ShardSpec], *,
     tolerant = quarantine is not None
     paths = list(dict.fromkeys(spec.x509_path for spec in shard_list))
     config = resolve_config(supervise, plan=plan, quarantine=quarantine)
+    # numpy loads on the first vectorised read: load it before any pool
+    # forks, so that workers inherit it instead of importing it.
+    load_numpy()
     with trace_span("parallel_ingest", shards=len(shard_list), jobs=jobs):
         x509_run = run_supervised(
             "ingest",

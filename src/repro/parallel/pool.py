@@ -34,10 +34,24 @@ copy.  Workers receive it through the initializer's ``initargs``: a
 fork-started worker inherits it with zero copies, a spawn or
 forkserver worker unpickles it once.  In-process dispatch installs it
 for the duration with :func:`sharing`.
+
+**A frozen heap to fork from.**  A fork-started worker inherits the
+driver's heap, and a full collection there would walk every inherited
+object, writing to its header and so copying the page it sits on.
+:func:`make_pool` therefore calls ``gc.freeze()`` before the pool's
+workers exist: the inherited objects move to the permanent generation,
+which no collection examines, and the generation counts restart, so
+workers run young collections only.  The pool's shutdown — whether
+``kill_pool``, a supervisor's rebuild or ``with`` — releases its hold,
+and the last hold released calls ``gc.unfreeze()``.  A heap frozen by
+someone else before the first hold is left as it is, pools taking no
+hold: CPython 3.12.1, for one, starts with 375 of its own tuples frozen.
 """
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -58,6 +72,9 @@ _HEARTBEAT_DIR: Optional[str] = None
 #: The current dispatch's shared state: set by the pool initializer in
 #: workers, and by :func:`sharing` for in-process dispatch.
 _SHARED: Any = None
+
+#: Live pools holding the driver heap frozen (see :func:`make_pool`).
+_FREEZE_HOLDS = 0
 
 
 def _cpu_clamp_lifted() -> bool:
@@ -120,14 +137,48 @@ def _bootstrap_worker(level_name: str, heartbeat: Optional[str] = None,
     configure_logging(level=level_name, force=True)
 
 
+def _hold_freeze() -> bool:
+    """Freeze the heap for one more pool; False when the pool takes no
+    hold (its workers do not fork, or someone else froze the heap)."""
+    global _FREEZE_HOLDS
+    if multiprocessing.get_start_method() != "fork" or (
+            not _FREEZE_HOLDS and gc.get_freeze_count()):
+        return False
+    gc.freeze()
+    _FREEZE_HOLDS += 1
+    return True
+
+
+def _release_freeze() -> None:
+    global _FREEZE_HOLDS
+    _FREEZE_HOLDS -= 1
+    if not _FREEZE_HOLDS:
+        gc.unfreeze()
+
+
+class _Pool(ProcessPoolExecutor):
+    """A process pool that releases its heap-freeze hold on shutdown."""
+
+    _holds_freeze = False
+
+    def shutdown(self, wait: bool = True, *,
+                 cancel_futures: bool = False) -> None:
+        try:
+            super().shutdown(wait=wait, cancel_futures=cancel_futures)
+        finally:
+            if self._holds_freeze:
+                self._holds_freeze = False
+                _release_freeze()
+
+
 def make_pool(workers: int, *, heartbeat: Optional[str] = None,
               shared: Any = None) -> ProcessPoolExecutor:
-    """A process pool whose workers inherit the driver's log level and
-    the dispatch's ``shared`` state."""
-    return ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_bootstrap_worker,
-        initargs=(current_log_level(), heartbeat, shared))
+    """A process pool whose workers inherit the driver's log level, the
+    dispatch's ``shared`` state and, when forked, a frozen heap."""
+    pool = _Pool(max_workers=workers, initializer=_bootstrap_worker,
+                 initargs=(current_log_level(), heartbeat, shared))
+    pool._holds_freeze = _hold_freeze()
+    return pool
 
 
 def kill_pool(pool: ProcessPoolExecutor) -> None:

@@ -34,6 +34,8 @@ quarantine ``file:line`` records, strict-mode errors, and metric
 counts.  Fault injection always takes the per-line path (corruption is
 defined line-at-a-time), as does a numpy-less interpreter or a file
 with ``\\r`` line endings (the text-mode readers translate those).
+numpy is imported on the first vectorised read (:func:`load_numpy`),
+not with this module.
 """
 
 from __future__ import annotations
@@ -52,17 +54,31 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..faults.injector import FaultInjector
     from ..resilience.quarantine import Quarantine
 
-try:  # numpy powers the vectorised path; without it every run goes per-line
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    _np = None
+#: numpy, bound by :func:`load_numpy` on the first vectorised read: only
+#: that path uses it, so generation and importing the program never load it.
+_np = None
+_numpy_missing = False
 
 __all__ = ["ColumnarTable", "ColumnSegment", "InternedColumn", "InternTable",
-           "ColumnarStats", "read_zeek_log_columnar"]
+           "ColumnarStats", "load_numpy", "read_zeek_log_columnar"]
 
 #: Numeric cells at most this wide decode through the fixed-width gather;
 #: anything wider (absurd for timestamps/ports/counts) goes per-cell.
 _GATHER_MAX_WIDTH = 24
+
+def load_numpy():
+    """Import numpy for the vectorised path, once; ``None`` when it is
+    not installed, and every read then takes the per-line path."""
+    global _np, _numpy_missing
+    if _np is None and not _numpy_missing:
+        try:
+            import numpy
+        except ImportError:
+            _numpy_missing = True
+        else:
+            _np = numpy
+    return _np
+
 
 _INT_TYPES = ("count", "int", "port")
 _FLOAT_TYPES = ("time", "double")
@@ -845,8 +861,8 @@ def read_zeek_log_columnar(path_on_disk: str, *,
                 builder._text = text
                 builder._plain_fast = ("\\x" not in text
                                        and "(empty)" not in text)
-            if faults is not None or _np is None or (
-                    text is not None and "\r" in text):
+            if faults is not None or (text is not None and "\r" in text) \
+                    or load_numpy() is None:
                 if text is None:
                     text = bytes(buf).decode("utf-8")  # raises like legacy
                 builder.scan_text(text, faults)

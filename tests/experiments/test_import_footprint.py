@@ -5,8 +5,9 @@ The analysis and generation runs import ``repro.experiments``,
 and the blind-spot ablation load the crypto-backed validators, and the
 section-5 revisit and the survey the scan simulator, on first use; the
 CLI loads its metrics server and bench report only for
-``--serve-metrics`` and ``bench-report``.  None of those may be
-imported up front, nor may networkx, a test oracle only.
+``--serve-metrics`` and ``bench-report``; the columnar reader loads
+numpy on its first vectorised read, so generation never does.  None of
+those may be imported up front, nor may networkx, a test oracle only.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..",
 
 #: Modules no run start-up may load.
 DEFERRED = ("networkx", "cryptography", "repro.validation", "repro.scan",
-            "http.server")
+            "http.server", "numpy")
 
 SCRIPT = """
 import json, sys
@@ -41,14 +42,69 @@ print(json.dumps({
 """
 
 
-def test_start_up_imports_nothing_deferred():
+GENERATE_SCRIPT = """
+import json, os, shutil, sys
+marker, out = sys.argv[1:]
+
+def record_numpy_import(event, args):
+    # Pool workers fork with this hook installed, so it sees their
+    # imports too.
+    if event == "import" and args[0].split(".")[0] == "numpy":
+        with open(marker, "a") as handle:
+            handle.write(f"{os.getpid()}\\n")
+
+sys.addaudithook(record_numpy_import)
+from repro.parallel import discover_shards, generate_dataset, ingest_shards
+jobs = [generate_dataset(os.path.join(out, str(jobs)), seed="lean",
+                         scale="small", jobs=jobs).jobs
+        for jobs in (1, 2)]
+after_generate = "numpy" in sys.modules
+imported_during_generate = os.path.exists(marker)
+# Two shards with an x509 log each: both dispatches fork two workers.
+shards = os.path.join(out, "shards")
+os.makedirs(shards)
+for i in range(2):
+    shutil.copy(os.path.join(out, "2", f"ssl-{i:02d}.log"), shards)
+    shutil.copy(os.path.join(out, "2", "x509.log"),
+                os.path.join(shards, f"x509-{i:02d}.log"))
+ingest = ingest_shards(discover_shards(shards), jobs=2)
+with open(marker) as handle:
+    importers = set(handle.read().split())
+print(json.dumps({
+    "jobs": jobs,
+    "after_generate": after_generate,
+    "imported_during_generate": imported_during_generate,
+    "ingest_jobs": ingest.jobs,
+    "chains": len(ingest.chains),
+    "imported_by_driver_only": importers == {str(os.getpid())},
+}))
+"""
+
+
+def _run(script, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"]
                                if env.get("PYTHONPATH") else "")
-    out = subprocess.run([sys.executable, "-c", SCRIPT, *DEFERRED],
+    env["REPRO_PARALLEL_NO_CPU_CLAMP"] = "1"
+    out = subprocess.run([sys.executable, "-c", script, *args],
                          check=True, env=env, capture_output=True,
                          text=True, timeout=300).stdout
-    report = json.loads(out.strip().splitlines()[-1])
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def test_generation_never_loads_numpy(tmp_path):
+    report = _run(GENERATE_SCRIPT, str(tmp_path / "numpy-imports"),
+                  str(tmp_path))
+    assert report["jobs"] == [1, 2]  # inline, then two forked workers
+    assert report["after_generate"] is False
+    assert report["imported_during_generate"] is False
+    # Ingest loads it once, in the driver, before forking its workers.
+    assert report["ingest_jobs"] == 2 and report["chains"]
+    assert report["imported_by_driver_only"] is True
+
+
+def test_start_up_imports_nothing_deferred():
+    report = _run(SCRIPT, *DEFERRED)
     assert report["loaded_at_import"] == []
     # Every experiment still registers, and Table 5 loads what it needs.
     assert {"table5", "section5", "extension-survey", "ablation-blindspot",

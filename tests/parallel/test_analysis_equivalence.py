@@ -11,6 +11,7 @@ stay silent and the driver emits canonical values from the merge.
 
 from __future__ import annotations
 
+import dataclasses
 import glob
 import io
 import os
@@ -26,11 +27,13 @@ from repro.obs import instruments
 from repro.obs.metrics import get_registry
 from repro.parallel import (analysis, analyze_partitions, engine,
                             ingest_logs, partition_index)
-from repro.parallel.analysis import (DEFAULT_PARTITIONS, AnalysisTask,
+from repro.parallel.analysis import (DEFAULT_PARTITIONS, AnalysisPartial,
+                                     AnalysisTask, EnrichedChains,
                                      PartitionContext, process_partition)
 from repro.parallel.pool import sharing
 from repro.parallel.supervisor import SupervisorConfig
 from repro.resilience import CheckpointStore
+from repro.resilience.checkpoint import input_fingerprint
 from repro.resilience.journal import RunJournal
 
 JOBS_MATRIX = [1, 2, 4]
@@ -114,32 +117,41 @@ class TestAnalysisJobsInvariance:
         assert render(pooled) == baseline
 
 
-class TestEagerStructures:
-    def test_structure_cache_prefilled_for_every_multicert_chain(
-            self, dataset, chains):
-        """Both structures of every multi-certificate chain come from the
-        engine: serving them is a cache hit, never a pair-match pass."""
+class TestDeferredStructures:
+    """No partition builds a structure Table 8 may never read: every
+    path computes a chain's structures on first ``structure_of``."""
+
+    def test_partitions_carry_no_structures(self, dataset, chains):
+        for carrier in (AnalysisPartial, EnrichedChains):
+            assert [f.name for f in dataclasses.fields(carrier)
+                    if "structure" in f.name] == []
+        for jobs in (None, 1):
+            result = dataset.analyzer().analyze_chains(chains, jobs=jobs)
+            assert result._structure_cache == {}
+
+    def test_structure_of_computes_on_first_use(self, dataset, chains):
         result = dataset.analyzer().analyze_chains(chains, jobs=1)
         multi = [c for c in chains.values() if c.length > 1]
         assert multi  # non-trivial corpus
-        hits = instruments.STRUCTURE_CACHE_HIT.value
-        misses = instruments.STRUCTURE_CACHE_MISS.value
-        matches = (instruments.MATCH_MEMO_HIT.value
-                   + instruments.MATCH_MEMO_MISS.value)
-        for chain in multi:
-            for require_leaf in (True, False):
-                result.structure_of(chain, require_leaf=require_leaf)
-        assert instruments.STRUCTURE_CACHE_MISS.value == misses
-        assert instruments.STRUCTURE_CACHE_HIT.value - hits \
-            == 2 * len(multi)
-        assert instruments.MATCH_MEMO_HIT.value \
-            + instruments.MATCH_MEMO_MISS.value == matches
+        for expected in ("miss", "hit"):
+            hits = instruments.STRUCTURE_CACHE_HIT.value
+            misses = instruments.STRUCTURE_CACHE_MISS.value
+            for chain in multi:
+                for require_leaf in (True, False):
+                    result.structure_of(chain, require_leaf=require_leaf)
+            looked_up = {"hit": instruments.STRUCTURE_CACHE_HIT.value - hits,
+                         "miss": instruments.STRUCTURE_CACHE_MISS.value
+                         - misses}
+            assert looked_up[expected] == 2 * len(multi)
+            assert sum(looked_up.values()) == 2 * len(multi)
 
-    def test_prefilled_structures_match_fresh_analysis(self, dataset,
-                                                       chains):
-        result = dataset.analyzer().analyze_chains(chains, jobs=1)
+    @pytest.mark.parametrize("jobs", [None, 1, 2])
+    def test_structure_of_matches_fresh_analysis(self, dataset, chains,
+                                                 jobs, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        result = dataset.analyzer().analyze_chains(chains, jobs=jobs)
         disclosures = dataset.disclosures
-        for chain in list(chains.values())[:25]:
+        for chain in chains.values():
             if chain.length <= 1:
                 continue
             for require_leaf in (True, False):
@@ -148,11 +160,7 @@ class TestEagerStructures:
                 fresh = analyze_structure(chain.certificates,
                                           disclosures=disclosures,
                                           require_leaf=require_leaf)
-                assert cached.pair_matches == fresh.pair_matches
-                assert cached.segments == fresh.segments
-                assert cached.complete_paths == fresh.complete_paths
-                assert cached.best_path == fresh.best_path
-                assert cached.mismatch_ratio == fresh.mismatch_ratio
+                assert cached == fresh
 
     def test_hybrid_analyses_reference_driver_chains(self, dataset, chains):
         """Worker output crossed a pickle boundary; the driver must rebind
@@ -162,6 +170,59 @@ class TestEagerStructures:
             assert analysis.chain is chains[analysis.chain.key]
             assert analysis.structure.certificates \
                 is analysis.chain.certificates
+
+
+#: Unpicklings of :class:`_EagerPartial` payloads (must stay empty).
+_UNPICKLED = []
+
+
+def _unpickled_eager_partial():
+    _UNPICKLED.append(True)
+    return None
+
+
+class _EagerPartial:
+    """Stands in for a partial the eager-structure layout journaled."""
+
+    def __reduce__(self):
+        return _unpickled_eager_partial, ()
+
+
+class TestJournalOfEagerPartials:
+    def test_resume_recomputes_and_never_unpickles(self, dataset, chains,
+                                                   tmp_path):
+        """A journal the eager layout wrote holds partials of another
+        shape under the previous fingerprint: a resume recomputes every
+        partition and loads none of them."""
+        directory = str(tmp_path / "journal")
+        with RunJournal(directory) as journal:
+            for index in range(DEFAULT_PARTITIONS):
+                keys = tuple(key for key in chains
+                             if partition_index(key, DEFAULT_PARTITIONS)
+                             == index)
+                journal.record("analysis", f"analysis:{index:04d}",
+                               input_fingerprint([
+                                   "analysis-partition-v2", index, keys,
+                                   ()]),
+                               _EagerPartial())
+        fresh = analyze_partitions(chains, registry=dataset.registry,
+                                   disclosures=dataset.disclosures, jobs=1)
+        runs = []
+        for _ in range(2):
+            with RunJournal(directory) as journal:
+                runs.append(analyze_partitions(
+                    chains, registry=dataset.registry,
+                    disclosures=dataset.disclosures, jobs=1,
+                    supervise=SupervisorConfig(journal=journal,
+                                               resume=True)))
+        assert _UNPICKLED == []
+        assert runs[0].supervisor.journal_replayed == 0
+        # What the first resume journaled, the second replays.
+        assert runs[1].supervisor.journal_replayed == DEFAULT_PARTITIONS
+        for enriched in runs:
+            assert enriched.categories == fresh.categories
+            assert enriched.hybrid_by_key == fresh.hybrid_by_key
+            assert enriched.classes == fresh.classes
 
 
 class _NoCertificates(pickle.Unpickler):
@@ -207,10 +268,10 @@ class TestPartialsCarryDerivedStateOnly:
             registry=dataset.registry, disclosures=dataset.disclosures)
         with sharing(context):
             partial = process_partition(task)
-        assert partial.hybrid and partial.structures
+        assert partial.hybrid and partial.classes
         loaded = _load_without_certificates(pickle.dumps(partial))
         assert loaded.categories == partial.categories
-        assert loaded.structures == partial.structures
+        assert loaded.hybrid == partial.hybrid
 
 
 def _record_submitted_tasks(monkeypatch, module, submitted):

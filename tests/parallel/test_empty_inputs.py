@@ -37,7 +37,7 @@ class TestEmptyAnalysis:
                                       jobs=jobs)
         assert enriched.categories == {}
         assert enriched.hybrid_by_key == {}
-        assert enriched.structures == {}
+        assert enriched.classes == {}
 
     @pytest.mark.parametrize("jobs", [None, 2])
     def test_zero_chains_through_pipeline(self, registry, jobs):

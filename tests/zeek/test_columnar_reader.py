@@ -10,14 +10,23 @@ everything.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults import FaultInjector, FaultPlan
+from repro.parallel import generate_dataset
 from repro.resilience import Quarantine
 from repro.zeek import ZeekFormatError
 from repro.zeek.columnar import InternTable, read_zeek_log_columnar
 from repro.zeek.format import read_zeek_log
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..",
+                                   "src"))
 
 HEADER = (
     "#separator \\x09\n"
@@ -209,6 +218,79 @@ class TestInternAndProjection:
         assert table.to_rows() == [{"uid": "C1"}, {"uid": "C3"}]
         assert [(r.line, r.reason) for r in quarantine.records] == [
             (9, "field-parse")]
+
+
+_READ_SHARD = """
+import dataclasses, json, sys
+mode, ssl_path, x509_path = sys.argv[1:]
+if mode == "blocked":
+    sys.modules["numpy"] = None  # any import of it now raises ImportError
+from repro.parallel.worker import (_SSL_INTERN, _SSL_PROJECTION,
+                                   _X509_PROJECTION)
+from repro.resilience import Quarantine
+from repro.zeek.columnar import read_zeek_log_columnar
+report = {"numpy_before_read": sys.modules.get("numpy") is not None}
+for name, path, options in (
+        ("ssl", ssl_path, {"intern": _SSL_INTERN,
+                           "project": _SSL_PROJECTION}),
+        ("x509", x509_path, {"project": _X509_PROJECTION})):
+    quarantine = Quarantine()
+    table = read_zeek_log_columnar(path, quarantine=quarantine, **options)
+    report[name] = {
+        "rows": table.to_rows(),
+        "quarantine": [dataclasses.asdict(r) for r in quarantine.records],
+        "vector_rows": table.stats.vector_rows,
+        "line_rows": table.stats.line_rows,
+    }
+report["numpy_after_read"] = sys.modules.get("numpy") is not None
+print(json.dumps(report))
+"""
+
+
+class TestWithoutNumpy:
+    """numpy loads on the first vectorised read, and an interpreter
+    without it reads every run per line, with the same columns and
+    quarantine records as the vectorised read."""
+
+    def test_blocked_numpy_reads_a_shard_per_line(self, tmp_path):
+        generate_dataset(str(tmp_path), seed="no-numpy", scale="small",
+                         jobs=1)
+        ssl_path = tmp_path / "ssl-00.log"
+        text = ssl_path.read_text()
+        row = next(line for line in text.splitlines() if line[0] != "#")
+        fields = row.split("\t")
+        fields[5] = "https"  # id.resp_p
+        # After the #close footer: a run of its own, which falls back to
+        # the per-line path while the shard's rows decode vectorised.
+        ssl_path.write_text(text + "too\tfew\n" + "\t".join(fields)
+                            + "\n" + row + "\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"]
+                                   if env.get("PYTHONPATH") else "")
+        reports = {}
+        for mode in ("vectorised", "blocked"):
+            out = subprocess.run(
+                [sys.executable, "-c", _READ_SHARD, mode, str(ssl_path),
+                 str(tmp_path / "x509.log")],
+                check=True, env=env, capture_output=True, text=True,
+                timeout=300).stdout
+            reports[mode] = json.loads(out.strip().splitlines()[-1])
+        vectorised, blocked = reports["vectorised"], reports["blocked"]
+        # The first vectorised read loads numpy; importing does not.
+        assert vectorised["numpy_before_read"] is False
+        assert vectorised["numpy_after_read"] is True
+        assert blocked["numpy_after_read"] is False
+        for name in ("ssl", "x509"):
+            assert blocked[name]["rows"] == vectorised[name]["rows"]
+            assert blocked[name]["quarantine"] \
+                == vectorised[name]["quarantine"]
+            assert vectorised[name]["vector_rows"] > 0
+            assert blocked[name]["vector_rows"] == 0
+            assert blocked[name]["line_rows"] \
+                == len(blocked[name]["rows"])
+        assert [record["reason"] for record
+                in blocked["ssl"]["quarantine"]] == ["column-count",
+                                                     "field-parse"]
 
 
 # -- Hypothesis: generated tables of every column type ---------------------
