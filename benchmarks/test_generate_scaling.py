@@ -100,9 +100,6 @@ def generate_bench(tmp_path_factory):
     run_engine(1)  # warm the per-process generation context once
     engine_seconds = {jobs: _best(lambda jobs=jobs: run_engine(jobs))
                       for jobs in JOBS_MATRIX}
-    legacy_engine_seconds = _best(lambda: generate_dataset(
-        str(base / "legacy"), seed=GEN_SEED, scale=scale, jobs=1,
-        compiled=False))
 
     rows = len(ssl_rows)
     total = engine_results[1].ssl_rows + engine_results[1].x509_rows
@@ -128,10 +125,6 @@ def generate_bench(tmp_path_factory):
             "cold_seconds": der_cold,
             "part_warm_seconds": der_part_warm,
             "part_memo_speedup": der_cold / der_part_warm,
-        },
-        "engine_legacy_writer": {
-            "seconds": legacy_engine_seconds,
-            "rows_written_per_second": total / legacy_engine_seconds,
         },
         "engine": {
             str(jobs): {"seconds": seconds,

@@ -3,9 +3,9 @@
 
 Give it a PEM bundle (as produced by ``openssl s_client -showcerts``) and
 it reports, per adjacent pair, both the issuer–subject verdict (Appendix
-D.1) and the key–signature verdict (Appendix D.2), plus unnecessary-
-certificate attribution.  With no argument it lints a generated demo chain
-containing a deliberate fault.
+D.1) and the key–signature verdict (Appendix D.2), plus the certificates
+outside the complete matched path.  With no argument it lints a generated
+demo chain containing a deliberate fault.
 
 Run:  python examples/chain_lint.py [chain.pem]
 """
@@ -14,7 +14,7 @@ import sys
 
 from cryptography import x509 as cx509
 
-from repro.core import analyze_structure, attribute_unnecessary
+from repro.core import analyze_structure
 from repro.validation import (
     validate_issuer_subject,
     validate_key_signature,
@@ -86,11 +86,10 @@ def main() -> int:
 
     if len(parsed) == len(records):
         structure = analyze_structure(parsed)
-        findings = attribute_unnecessary(structure)
-        if findings:
+        if structure.has_unnecessary:
             print("\nunnecessary certificates:")
-            for finding in findings:
-                print(f"  {finding.describe()}")
+            for index in structure.unnecessary_indices:
+                print(f"  position {index}: {parsed[index].short_name()!r}")
     # Exit 2 signals a broken user-supplied chain; the built-in demo chain
     # is broken on purpose, so it exits 0.
     if len(sys.argv) <= 1:

@@ -12,7 +12,7 @@ Run:  python examples/validation_divergence.py
 
 from datetime import datetime, timezone
 
-from repro.core import analyze_structure, attribute_unnecessary
+from repro.core import analyze_structure
 from repro.tls import BrowserPolicy, StrictPresentedChainPolicy
 from repro.truststores import build_public_pki
 from repro.x509 import CertificateFactory, name
@@ -40,8 +40,9 @@ def main() -> None:
     structure = analyze_structure(chain)
     print(f"\ncomplete matched path found: "
           f"{structure.contains_complete_matched_path}")
-    for finding in attribute_unnecessary(structure, pki.registry):
-        print(f"unnecessary: {finding.describe()}")
+    for index in structure.unnecessary_indices:
+        print(f"unnecessary: position {index}: "
+              f"{chain[index].short_name()!r}")
 
     # Client views (§5): the same chain, two verdicts.
     browser = BrowserPolicy(pki.registry).validate(chain, at=when)

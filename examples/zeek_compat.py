@@ -1,53 +1,47 @@
 #!/usr/bin/env python
-"""Interoperating with real Zeek deployments, old and new.
+"""Interoperating with real Zeek deployments.
 
-Three compatibility features in one walkthrough:
+Two compatibility features in one walkthrough:
 
-1. **DPD border gating** — mixed raw traffic (TLS + HTTP + SSH + DNS) goes
-   through the byte-level detector; only TLS reaches the logs, regardless
-   of port (how the paper's dataset caught TLS on port 8013/33854).
-2. **Legacy Zeek 3.x layout** — the modern fingerprint-keyed logs are
-   converted to the ssl → files → x509 fuid triple and joined back,
-   proving the analyzer handles either generation of Zeek output.
-3. **PEM export** — any simulated chain renders as real, parseable X.509
+1. **Zeek ASCII logs** — the simulated campus is written as the
+   fingerprint-keyed ``ssl.log``/``x509.log`` pair that Zeek writes, then
+   read back through the same ingest engine the CLI's logs mode uses; the
+   chains it finds are exactly the in-memory join's.
+2. **PEM export** — any simulated chain renders as real, parseable X.509
    DER for external tooling (`openssl x509 -text` would accept it).
 
 Run:  python examples/zeek_compat.py
 """
 
+import tempfile
+
 from cryptography import x509 as cx509
 
 from repro.campus import build_campus_dataset
 from repro.core.chain import aggregate_chains
+from repro.parallel import ShardSpec, ingest_shards
 from repro.x509.der import certificate_to_pem
 from repro.x509.pem import decode_pem_bundle
-from repro.zeek import join_legacy_logs, join_logs, to_legacy_logs
+from repro.zeek import join_logs
 
 
 def main() -> None:
-    # --- 1. DPD gating: build the campus with 30% non-TLS noise ----------
-    dataset = build_campus_dataset(seed=21, scale="small", noise_ratio=0.3)
-    sensor = dataset.sensor
-    print(f"border sensor: {sensor.flows_seen:,} flows seen, "
-          f"{sensor.tls_flows:,} TLS (logged), "
-          f"{sensor.skipped_flows:,} non-TLS (skipped), "
-          f"SNI byte/record mismatches: {sensor.sni_mismatches}")
+    dataset = build_campus_dataset(seed=21, scale="small")
 
-    # --- 2. legacy three-way join -----------------------------------------------
-    legacy_ssl, files, legacy_x509 = to_legacy_logs(
-        dataset.ssl_records, dataset.x509_records)
-    print(f"\nlegacy layout: {len(legacy_ssl):,} ssl rows, "
-          f"{len(files):,} files rows (one per certificate transfer), "
-          f"{len(legacy_x509):,} fuid-keyed x509 rows")
+    # --- 1. Zeek ASCII round trip ------------------------------------------------
     modern = aggregate_chains(join_logs(dataset.ssl_records,
                                         dataset.x509_records))
-    legacy = aggregate_chains(join_legacy_logs(legacy_ssl, files,
-                                               legacy_x509))
-    assert set(modern) == set(legacy)
-    print(f"modern and legacy joins agree on all {len(modern):,} distinct "
-          f"chains")
+    with tempfile.TemporaryDirectory() as directory:
+        ssl_path, x509_path = dataset.write_zeek_logs(directory)
+        ingest = ingest_shards([ShardSpec(index=0, ssl_path=ssl_path,
+                                          x509_path=x509_path)], jobs=1)
+    print(f"Zeek logs: {ingest.ssl_rows:,} ssl rows, "
+          f"{len(ingest.cert_fingerprints):,} distinct certificates")
+    assert set(ingest.chains) == set(modern)
+    print(f"the on-disk ingest and the in-memory join agree on all "
+          f"{len(modern):,} distinct chains")
 
-    # --- 3. PEM export of a simulated chain -------------------------------------
+    # --- 2. PEM export of a simulated chain -------------------------------------
     chain = next(iter(modern.values())).certificates
     pem = certificate_to_pem(chain[0])
     parsed = cx509.load_der_x509_certificate(decode_pem_bundle(pem)[0])

@@ -24,13 +24,6 @@ from ..truststores.builtin import PublicPKI, build_public_pki
 from ..truststores.registry import PublicDBRegistry
 from ..zeek.format import write_zeek_log
 from ..zeek.records import SSLRecord, X509Record
-from ..zeek.sensor import (
-    BorderSensor,
-    RawFlow,
-    dns_query_bytes,
-    http_request_bytes,
-    ssh_banner_bytes,
-)
 from ..zeek.tap import JoinedConnection, MonitoringTap, join_logs
 from .hybrid_population import build_hybrid_population
 from .population import (
@@ -73,9 +66,6 @@ class CampusDataset:
     specs: List[ChainSpec]
     tap: MonitoringTap
     disclosures: CrossSignDisclosures
-    #: Present when the workload was routed through the DPD border sensor
-    #: (``noise_ratio > 0``): counts of TLS vs skipped non-TLS flows.
-    sensor: Optional[BorderSensor] = None
     _joined: Optional[List[JoinedConnection]] = None
     _analysis: Optional[AnalysisResult] = None
 
@@ -241,56 +231,25 @@ def build_generation_context(seed: int | str = 0,
 
 
 def build_campus_dataset(seed: int | str = 0,
-                         scale: str | ScaleConfig = "small",
-                         *, noise_ratio: float = 0.0) -> CampusDataset:
+                         scale: str | ScaleConfig = "small") -> CampusDataset:
     """Simulate one 12-month campus measurement campaign.
 
     ``scale`` is ``"small"`` (fast, for tests), ``"default"`` (benchmark
     fidelity), or a custom :class:`ScaleConfig`.  The same seed and scale
     always produce the identical dataset.
-
-    ``noise_ratio > 0`` routes the workload through the DPD border sensor
-    together with that fraction of non-TLS flows (HTTP/SSH/DNS).  The noise
-    is generated from an independent RNG stream and is dropped by DPD, so
-    the logged dataset is byte-identical to the noise-free build — which is
-    precisely what the sensor is supposed to guarantee.
     """
     context = build_generation_context(seed=seed, scale=scale)
-    scale = context.scale
-    pki = context.pki
-    registry = context.registry
-    ct_log = context.ct_log
-    specs = context.specs
-    middleboxes = context.middleboxes
-    ct_index = context.ct_index
-    generator = context.generator
-    sensor: Optional[BorderSensor] = None
-    if noise_ratio > 0:
-        import random as _random
-
-        sensor = BorderSensor()
-        tap = sensor.tap
-        noise_rng = _random.Random(f"noise:{seed}")
-        noise_payloads = (http_request_bytes(), ssh_banner_bytes(),
-                          dns_query_bytes())
-        for record in generator.generate(specs):
-            while noise_rng.random() < noise_ratio:
-                sensor.process(RawFlow(noise_rng.choice(noise_payloads)))
-            sensor.process(RawFlow.from_connection(record))
-    else:
-        tap = MonitoringTap()
-        tap.observe_all(generator.generate(specs))
-
+    tap = MonitoringTap()
+    tap.observe_all(context.generator.generate(context.specs))
     return CampusDataset(
         seed=seed,
-        scale=scale,
-        pki=pki,
-        registry=registry,
-        ct_log=ct_log,
-        ct_index=ct_index,
-        middleboxes=middleboxes,
-        specs=specs,
+        scale=context.scale,
+        pki=context.pki,
+        registry=context.registry,
+        ct_log=context.ct_log,
+        ct_index=context.ct_index,
+        middleboxes=context.middleboxes,
+        specs=context.specs,
         tap=tap,
-        disclosures=CrossSignDisclosures.from_pki(pki),
-        sensor=sensor,
+        disclosures=CrossSignDisclosures.from_pki(context.pki),
     )

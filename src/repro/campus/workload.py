@@ -138,12 +138,11 @@ class _VerdictMemo(ValidationPolicy):
     """A policy's verdicts, one per (presented chain, validity at ``at``).
 
     Exact for :class:`BrowserPolicy` and
-    :class:`StrictPresentedChainPolicy` without a revocation checker:
-    they then read ``at`` only through ``is_valid_at`` on presented
-    certificates, and their trust-store lookups never change.  The
-    presented fingerprints plus those validity tests therefore decide
-    the verdict.  Pays because the same chain is validated by the same
-    policy on many connections.
+    :class:`StrictPresentedChainPolicy`: they read ``at`` only through
+    ``is_valid_at`` on presented certificates, and their trust-store
+    lookups never change.  The presented fingerprints plus those
+    validity tests therefore decide the verdict.  Pays because the same
+    chain is validated by the same policy on many connections.
     """
 
     def __init__(self, policy: ValidationPolicy):
@@ -166,12 +165,10 @@ class _VerdictMemo(ValidationPolicy):
 def memoize_verdicts(policy: ValidationPolicy) -> ValidationPolicy:
     """Wrap ``policy`` in a verdict memo where that is exact and pays.
 
-    A policy with a revocation checker reads ``at`` beyond the validity
-    tests, so it is returned as is; so is :class:`PermissivePolicy`,
-    which costs no more than a memo lookup.
+    :class:`PermissivePolicy` is returned as is: it costs no more than a
+    memo lookup.
     """
-    if isinstance(policy, (BrowserPolicy, StrictPresentedChainPolicy)) \
-            and policy.revocation is None:
+    if isinstance(policy, (BrowserPolicy, StrictPresentedChainPolicy)):
         return _VerdictMemo(policy)
     return policy
 
@@ -390,8 +387,7 @@ class WorkloadGenerator:
 def connection_of(row: list, when: datetime,
                   visible_chain: Tuple[Certificate, ...]) -> ConnectionRecord:
     """The in-memory record of one cell-kernel row: the one adapter for
-    consumers of ``ConnectionRecord`` (the monitoring tap, the border
-    sensor)."""
+    consumers of ``ConnectionRecord`` (the monitoring tap)."""
     return ConnectionRecord(
         uid=row[1], timestamp=when, client=Endpoint(row[2], row[3]),
         server=Endpoint(row[4], row[5]), version=TLSVersion(row[6]),

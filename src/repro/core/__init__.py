@@ -63,7 +63,6 @@ from .structures import (
     infer_role,
     summarize_graph,
 )
-from .unnecessary import UnnecessaryFinding, UnnecessaryPattern, attribute_unnecessary
 
 __all__ = [
     "AnalysisResult",
@@ -101,12 +100,9 @@ __all__ = [
     "PairMatch",
     "Segment",
     "SingleCertStats",
-    "UnnecessaryFinding",
-    "UnnecessaryPattern",
     "VendorDirectory",
     "aggregate_chains",
     "analyze_structure",
-    "attribute_unnecessary",
     "build_cooccurrence_graph",
     "build_issuance_graph",
     "chain_wire_size",

@@ -9,9 +9,8 @@ detection), producing every statistic reported in §3–§4.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from ..ct.crtsh import CrtShIndex
 from ..faults.injector import FaultInjector
@@ -38,7 +37,7 @@ from .matching import ChainStructure, analyze_structure
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..parallel.engine import IngestResult
-    from ..parallel.supervisor import SupervisorConfig
+    from ..parallel.supervisor import SupervisedRun, SupervisorConfig
 
 __all__ = ["ChainStructureAnalyzer", "AnalysisResult",
            "SingleCertStats", "MultiCertPathStats"]
@@ -90,6 +89,10 @@ class AnalysisResult:
     dga_clusters: List[DGACluster]
     classifier: CertificateClassifier
     disclosures: Optional[CrossSignDisclosures]
+    #: How the enrichment engine's supervised dispatch went; ``None`` when
+    #: the stages ran serially or came from the artifact or checkpoint
+    #: store.
+    supervisor: Optional["SupervisedRun"] = None
     _structure_cache: Dict[tuple[str, ...], ChainStructure] = field(
         default_factory=dict)
 
@@ -226,7 +229,7 @@ class ChainStructureAnalyzer:
         """Identity of this run's input + configuration, for checkpoints.
 
         The version tag changes with what the stages persist (the
-        ``enrichment`` checkpoint holds the engine's partials), so a
+        ``enrichment`` checkpoint holds the engine's merged maps), so a
         resume never loads a stage of another layout.
         """
         parts: List[object] = [
@@ -365,6 +368,7 @@ class ChainStructureAnalyzer:
                 checkpoint.save(name, fingerprint, value)
             return value
 
+        dispatch: Optional["SupervisedRun"] = None
         with trace_span("analyze_chains", chains=len(chains)):
             # Stage 1 — certificate enrichment: interception identification.
             with trace_span("enrich_interception"):
@@ -407,12 +411,18 @@ class ChainStructureAnalyzer:
                 from ..parallel.analysis import analyze_partitions
                 with trace_span("enrichment", chains=len(chains), jobs=jobs):
                     def run_enrichment():
-                        return analyze_partitions(
+                        nonlocal dispatch
+                        enriched = analyze_partitions(
                             chains, registry=self.registry,
                             disclosures=self.disclosures,
                             interception_keys=frozenset(
                                 interception.issuer_name_keys),
                             jobs=jobs, supervise=supervise)
+                        # The dispatch's results repeat every partial the
+                        # merged maps were built from: the result reports
+                        # it, the checkpoint does not keep it.
+                        dispatch = enriched.supervisor
+                        return replace(enriched, supervisor=None)
                     enriched = staged("enrichment", run_enrichment)
 
                 # Reassemble in the chain map's insertion order so list
@@ -465,6 +475,7 @@ class ChainStructureAnalyzer:
             dga_clusters=dga,
             classifier=classifier,
             disclosures=self.disclosures,
+            supervisor=dispatch,
         )
         if artifacts is not None:
             artifacts.save("analysis", artifact_fp, self._dehydrate(result))

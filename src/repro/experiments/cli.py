@@ -28,9 +28,7 @@ Any mode can emit observability artefacts: ``--metrics-out`` writes a
 Prometheus text-exposition (or ``.json``) snapshot of every pipeline
 metric, ``--run-report`` writes the diffable per-run JSON summary (stage
 timings, throughput, cache hit rates), ``--trace-out`` writes the merged
-driver+worker span forest as Chrome-trace/Perfetto JSON,
-``--serve-metrics PORT`` exposes live ``/metrics``/``/healthz``/
-``/runreport`` HTTP endpoints for the duration of the run, and
+driver+worker span forest as Chrome-trace/Perfetto JSON, and
 ``--log-level debug`` turns on structured key=value logging (propagated
 into pool workers).
 """
@@ -40,7 +38,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..campus.dataset import cached_campus_dataset, resolve_scale
 from ..core.categorization import ChainCategory
@@ -60,9 +58,6 @@ from ..resilience import (ArtifactStore, CheckpointStore, Quarantine,
 from ..truststores import build_public_pki
 from ..zeek.format import ZeekFormatError
 from .base import registry, run_experiment
-
-if TYPE_CHECKING:
-    from ..obs.server import MetricsServer
 
 __all__ = ["main", "build_parser", "build_generate_parser",
            "package_version"]
@@ -133,10 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the merged driver+worker span timeline "
                              "as Chrome-trace/Perfetto JSON (open in "
                              "ui.perfetto.dev)")
-    parser.add_argument("--serve-metrics", type=int, metavar="PORT",
-                        help="serve live /metrics, /healthz and /runreport "
-                             "on 127.0.0.1:PORT for the duration of the "
-                             "run (0 picks a free port)")
     parser.add_argument("--fault-plan", metavar="SPEC",
                         help="deterministic fault injection, e.g. "
                              "'zeek_corrupt_rate=0.05,scan_timeout_rate=0.1' "
@@ -197,10 +188,6 @@ def build_generate_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", "-j", type=int, default=None, metavar="N",
                         help="worker processes (default: CPU count; capped "
                              "at the CPU and interval counts)")
-    parser.add_argument("--legacy-writer", action="store_true",
-                        help="use the per-row legacy write path instead of "
-                             "the compiled renderer (identical bytes, "
-                             "slower; kept as the benchmark baseline)")
     parser.add_argument("--log-level", metavar="LEVEL", default=None,
                         choices=("debug", "info", "warning", "error"),
                         help="structured-logging level "
@@ -212,10 +199,6 @@ def build_generate_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace-out", metavar="PATH",
                         help="write the merged driver+worker span timeline "
                              "as Chrome-trace/Perfetto JSON")
-    parser.add_argument("--serve-metrics", type=int, metavar="PORT",
-                        help="serve live /metrics, /healthz and /runreport "
-                             "on 127.0.0.1:PORT for the duration of the "
-                             "run (0 picks a free port)")
     parser.add_argument("--fault-plan", metavar="SPEC",
                         help="install a deterministic fault plan for the "
                              "run; generation draws from its own derived "
@@ -261,24 +244,6 @@ def _print_supervisor_summary(run) -> None:
             print(line)
 
 
-def _start_server(args: argparse.Namespace) -> Optional[MetricsServer]:
-    """Start the live-metrics endpoint when ``--serve-metrics`` was given."""
-    if getattr(args, "serve_metrics", None) is None:
-        return None
-    # Imported here: ``http.server`` costs every other run its start-up.
-    from ..obs.server import MetricsServer
-
-    server = MetricsServer(args.serve_metrics, version=package_version())
-    try:
-        server.start()
-    except OSError as exc:
-        print(f"certchain-analyze: cannot serve metrics: {exc}",
-              file=sys.stderr)
-        return None
-    print(f"serving metrics at {server.url}/metrics", file=sys.stderr)
-    return server
-
-
 def _generate(argv: Sequence[str]) -> int:
     parser = build_generate_parser()
     args = parser.parse_args(argv)
@@ -299,13 +264,10 @@ def _generate(argv: Sequence[str]) -> int:
     if plan is not None and plan.any():
         install_plan(plan)
     supervise = _supervisor_config(args, "generate")
-    server = _start_server(args)
     try:
         result = generate_dataset(args.out, seed=args.seed,
                                   scale=resolve_scale(args.scale),
-                                  jobs=args.jobs,
-                                  compiled=not args.legacy_writer,
-                                  supervise=supervise)
+                                  jobs=args.jobs, supervise=supervise)
     except OSError as exc:
         print(f"repro-experiments: cannot write dataset: {exc}",
               file=sys.stderr)
@@ -314,8 +276,6 @@ def _generate(argv: Sequence[str]) -> int:
         if supervise is not None and supervise.journal is not None:
             supervise.journal.close()
         clear_plan()
-        if server is not None:
-            server.stop()
     _print_supervisor_summary(result.supervisor)
     print(f"generated {result.ssl_rows:,} connections and "
           f"{result.x509_rows:,} certificates into "
@@ -387,6 +347,7 @@ def _analyze_logs(args: argparse.Namespace,
     print(f"hybrid chains: "
           f"{result.categorized.chain_count(ChainCategory.HYBRID):,}")
     _print_supervisor_summary(ingest.supervisor)
+    _print_supervisor_summary(result.supervisor)
     if quarantine is not None:
         print()
         for line in quarantine.summary_lines():
@@ -500,7 +461,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         log.info("fault plan installed", extra=kv(
             **{k: v for k, v in plan.rates().items() if v}))
 
-    server = _start_server(args)
     try:
         if args.ssl_log or args.x509_log or args.shard_dir:
             if args.shard_dir and (args.ssl_log or args.x509_log):
@@ -536,8 +496,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return status or _write_observability(args, effective_argv)
     finally:
         clear_plan()
-        if server is not None:
-            server.stop()
 
 
 if __name__ == "__main__":  # pragma: no cover

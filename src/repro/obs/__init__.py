@@ -21,9 +21,6 @@ with Prometheus/JSON export.  Six modules:
     :class:`TelemetrySink` merging in the driver.
 ``traceexport``
     The merged span forest rendered as Chrome-trace / Perfetto JSON.
-``server``
-    Stdlib-only live ``/metrics`` + ``/healthz`` + ``/runreport`` HTTP
-    endpoint for long runs.
 ``benchreport``
     ``BENCH_*.json`` trajectory tables and regression gating for the
     ``repro-experiments bench-report`` subcommand.

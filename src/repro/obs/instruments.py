@@ -257,11 +257,6 @@ WORKER_SPANS = _R.counter(
 TRACE_EXPORT_EVENTS = _R.gauge(
     "repro_trace_export_events",
     "Events written by the most recent Chrome-trace export.")
-METRICS_SERVER_REQUESTS = _R.counter(
-    "repro_metrics_server_requests_total",
-    "HTTP requests served by the embedded metrics server, by endpoint.  "
-    "Operational (scrape-driven), so exempt from run determinism.",
-    labelnames=("endpoint",))
 
 # -- experiments --------------------------------------------------------------
 

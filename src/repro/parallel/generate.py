@@ -82,7 +82,6 @@ class GenerateTask:
     ssl_path: str
     x509_path: str
     open_time: datetime = STUDY_START
-    compiled: bool = True
 
 
 @dataclass(slots=True)
@@ -198,11 +197,11 @@ def process_generate_shard(task: GenerateTask) -> GenerateShardResult:
         with open(task.ssl_path, "w", encoding="utf-8") as ssl_handle, \
                 open(task.x509_path, "w", encoding="utf-8") as x509_handle:
             with ZeekLogWriter(ssl_handle, "ssl", SSLRecord.FIELDS,
-                               SSLRecord.TYPES, open_time=task.open_time,
-                               compiled=task.compiled) as ssl_writer, \
+                               SSLRecord.TYPES,
+                               open_time=task.open_time) as ssl_writer, \
                     ZeekLogWriter(x509_handle, "x509", X509Record.FIELDS,
-                                  X509Record.TYPES, open_time=task.open_time,
-                                  compiled=task.compiled) as x509_writer:
+                                  X509Record.TYPES,
+                                  open_time=task.open_time) as x509_writer:
                 for row, when, chain in generator.generate_shard(
                         specs, task.shard, plans=plans):
                     ssl_writer.write_row(row)
@@ -224,8 +223,8 @@ def process_generate_shard(task: GenerateTask) -> GenerateShardResult:
 def _generate_fingerprint(task: GenerateTask) -> str:
     """Journal identity of one generation interval."""
     return input_fingerprint([
-        "generate-shard-v2", task.shard, task.seed, task.scale,
-        task.open_time, task.compiled, task.ssl_path, task.x509_path,
+        "generate-shard-v3", task.shard, task.seed, task.scale,
+        task.open_time, task.ssl_path, task.x509_path,
     ])
 
 
@@ -248,7 +247,6 @@ def generate_dataset(out_dir: str, *,
                      scale: ScaleConfig,
                      jobs: Optional[int] = None,
                      open_time: datetime = STUDY_START,
-                     compiled: bool = True,
                      supervise: Optional[SupervisorConfig] = None
                      ) -> GenerateResult:
     """Generate the (seed, scale) dataset as paired shard logs.
@@ -273,7 +271,7 @@ def generate_dataset(out_dir: str, *,
                                                 f"ssl-{shard:02d}.log"),
                           x509_path=os.path.join(out_dir,
                                                  f".x509-{shard:02d}.part"),
-                          open_time=open_time, compiled=compiled)
+                          open_time=open_time)
              for shard in range(shard_count)]
     config = resolve_config(supervise, plan=active_plan())
     with trace_span("parallel_generate", shards=shard_count, jobs=jobs):

@@ -12,14 +12,6 @@ from .messages import (
     ServerHello,
     TLSVersion,
 )
-from .wire import (
-    WireError,
-    extract_sni,
-    parse_certificate_message,
-    parse_client_hello,
-    serialize_certificate_message,
-    serialize_client_hello,
-)
 from .policy import (
     BrowserPolicy,
     PermissivePolicy,
@@ -50,12 +42,6 @@ __all__ = [
     "ValidationPolicy",
     "ValidationResult",
     "ValidationStatus",
-    "WireError",
     "build_middlebox",
-    "extract_sni",
-    "parse_certificate_message",
-    "parse_client_hello",
-    "serialize_certificate_message",
-    "serialize_client_hello",
     "signature_verifies",
 ]

@@ -32,7 +32,6 @@ from typing import Optional, Sequence
 
 from ..truststores.registry import PublicDBRegistry
 from ..x509.certificate import Certificate
-from ..x509.revocation import RevocationChecker, RevocationStatus
 
 __all__ = [
     "ValidationStatus",
@@ -42,8 +41,6 @@ __all__ = [
     "StrictPresentedChainPolicy",
     "PermissivePolicy",
     "signature_verifies",
-    "RevocationChecker",
-    "RevocationStatus",
 ]
 
 _MAX_PATH_LENGTH = 16
@@ -56,7 +53,6 @@ class ValidationStatus(str, Enum):
     UNKNOWN_CA = "unknown_ca"
     BROKEN_CHAIN = "broken_chain"
     SELF_SIGNED = "self_signed"
-    REVOKED = "revoked"
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,27 +116,13 @@ class BrowserPolicy(ValidationPolicy):
 
     def __init__(self, registry: PublicDBRegistry, *,
                  extra_anchors: Sequence[Certificate] = (),
-                 check_validity_period: bool = True,
-                 revocation: Optional[RevocationChecker] = None):
+                 check_validity_period: bool = True):
         self.registry = registry
         self._extra_anchor_keys = {
             tuple(sorted(a.subject.normalized())) for a in extra_anchors
         }
         self._extra_anchors = list(extra_anchors)
         self.check_validity_period = check_validity_period
-        #: Browsers soft-fail: UNKNOWN status is tolerated, REVOKED is not.
-        self.revocation = revocation
-
-    def _revocation_verdict(self, path: Sequence[Certificate],
-                            at: datetime) -> Optional[ValidationResult]:
-        if self.revocation is None:
-            return None
-        revoked = self.revocation.any_revoked(path, at=at)
-        if revoked is not None:
-            return ValidationResult(
-                ValidationStatus.REVOKED, (),
-                f"{revoked.short_name()!r} is revoked")
-        return None
 
     def _is_anchor(self, certificate: Certificate) -> bool:
         if self.registry.is_trust_anchor_name(certificate.subject):
@@ -170,16 +152,10 @@ class BrowserPolicy(ValidationPolicy):
         seen = {leaf.fingerprint}
         while len(path) < _MAX_PATH_LENGTH:
             if self._is_anchor(current):
-                verdict = self._revocation_verdict(path, at)
-                if verdict is not None:
-                    return verdict
                 return ValidationResult(ValidationStatus.OK, tuple(path))
             anchor = self._anchor_for_issuer(current)
             if anchor is not None and signature_verifies(current, anchor):
                 path.append(anchor)
-                verdict = self._revocation_verdict(path, at)
-                if verdict is not None:
-                    return verdict
                 return ValidationResult(ValidationStatus.OK, tuple(path))
             parent = self._find_parent(current, presented, seen, at)
             if parent is None:
@@ -220,14 +196,12 @@ class StrictPresentedChainPolicy(ValidationPolicy):
 
     def __init__(self, registry: PublicDBRegistry, *,
                  extra_anchors: Sequence[Certificate] = (),
-                 check_validity_period: bool = True,
-                 revocation: Optional[RevocationChecker] = None):
+                 check_validity_period: bool = True):
         self.registry = registry
         self._extra_anchor_keys = {
             tuple(sorted(a.subject.normalized())) for a in extra_anchors
         }
         self.check_validity_period = check_validity_period
-        self.revocation = revocation
 
     def _anchored(self, certificate: Certificate) -> bool:
         for dn in (certificate.subject, certificate.issuer):
@@ -259,10 +233,4 @@ class StrictPresentedChainPolicy(ValidationPolicy):
         if not self._anchored(last):
             return ValidationResult(ValidationStatus.UNKNOWN_CA, (),
                                     "chain does not terminate at a trusted anchor")
-        if self.revocation is not None:
-            revoked = self.revocation.any_revoked(presented, at=at)
-            if revoked is not None:
-                return ValidationResult(
-                    ValidationStatus.REVOKED, (),
-                    f"{revoked.short_name()!r} is revoked")
         return ValidationResult(ValidationStatus.OK, tuple(presented))

@@ -13,19 +13,12 @@ from .extensions import (
     SubjectAltName,
 )
 from .generation import CertificateFactory, IssuingAuthority, name, DEFAULT_EPOCH
-from .revocation import (
-    CertificateRevocationList,
-    OCSPResponder,
-    RevocationChecker,
-    RevocationStatus,
-)
 
 __all__ = [
     "AttributeTypeAndValue",
     "BasicConstraints",
     "Certificate",
     "CertificateFactory",
-    "CertificateRevocationList",
     "CertificateRole",
     "certificate_to_pem",
     "chain_to_pem",
@@ -39,9 +32,6 @@ __all__ = [
     "IssuingAuthority",
     "KeyAlgorithm",
     "KeyUsage",
-    "OCSPResponder",
-    "RevocationChecker",
-    "RevocationStatus",
     "SubjectAltName",
     "ValidityPeriod",
     "name",

@@ -9,9 +9,8 @@ load it with ``cryptography``); the signature is deterministic filler, so
 it does not verify — the simulator's structured pipeline never needed it
 to, and real signing lives in :mod:`repro.x509.pem`.
 
-Uses: byte-exact wire sizes for the §6.1 overhead analysis, real
-Certificate-message payloads for :mod:`repro.tls.wire`, and PEM export of
-any simulated chain for external tooling.
+Uses: byte-exact wire sizes for the §6.1 overhead analysis, and PEM
+export of any simulated chain for external tooling.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 import base64
 import hashlib
 from datetime import datetime, timezone
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 from ..obs.cache import BoundedLRU
 from ..obs.instruments import (

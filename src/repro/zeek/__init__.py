@@ -1,7 +1,6 @@
-"""Zeek substrate: SSL/X509 log records, the ASCII log format, dynamic
-protocol detection, and the monitoring tap that produces/consumes logs."""
+"""Zeek substrate: SSL/X509 log records, the ASCII log format, and the
+monitoring tap that produces/consumes logs."""
 
-from .dpd import FlowSample, client_hello_bytes, looks_like_tls, sniff_version
 from .format import (
     ZeekFormatError,
     ZeekLogReader,
@@ -10,8 +9,6 @@ from .format import (
     read_zeek_log,
     write_zeek_log,
 )
-from .legacy import FilesRecord, fuid_for, join_legacy_logs, to_legacy_logs
-from .sensor import BorderSensor, RawFlow
 from .records import (
     SSLRecord,
     X509Record,
@@ -29,30 +26,20 @@ from .tap import (
 )
 
 __all__ = [
-    "BorderSensor",
-    "FilesRecord",
-    "FlowSample",
     "JoinedConnection",
     "JoinStats",
     "MonitoringTap",
-    "RawFlow",
     "SSLRecord",
     "X509Record",
     "ZeekFormatError",
     "ZeekLogReader",
     "ZeekLogWriter",
     "certificate_map",
-    "client_hello_bytes",
-    "fuid_for",
     "iter_joined",
     "iter_zeek_log",
-    "join_legacy_logs",
     "join_logs",
-    "looks_like_tls",
     "read_zeek_log",
     "reconstruct_certificate",
-    "to_legacy_logs",
-    "sniff_version",
     "ssl_record_from_connection",
     "write_zeek_log",
     "x509_record_from_certificate",

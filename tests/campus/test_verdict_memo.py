@@ -3,9 +3,7 @@
 A memoized generator policy must answer exactly what the policy it
 wraps answers, for every chain the generator presents and at every
 moment — in particular on both sides of each certificate's validity
-bounds, where the memo key (the validity tests) changes.  Policies whose
-verdict depends on more than those tests (a revocation checker) must
-never be wrapped.
+bounds, where the memo key (the validity tests) changes.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from repro.tls.policy import (
     PermissivePolicy,
     StrictPresentedChainPolicy,
 )
-from repro.x509.revocation import RevocationChecker
 
 MEMOIZED_KINDS = ("browser", "browser_nss", "strict", "trusting")
 SECOND = timedelta(seconds=1)
@@ -71,13 +68,6 @@ class TestMemoizedVerdicts:
 
 
 class TestWrapping:
-    @pytest.mark.parametrize("policy_type",
-                             [BrowserPolicy, StrictPresentedChainPolicy])
-    def test_policy_with_revocation_checker_is_never_wrapped(
-            self, registry, policy_type):
-        policy = policy_type(registry, revocation=RevocationChecker())
-        assert memoize_verdicts(policy) is policy
-
     @pytest.mark.parametrize("policy_type",
                              [BrowserPolicy, StrictPresentedChainPolicy])
     def test_revocation_free_policy_is_wrapped(self, registry, policy_type):

@@ -157,27 +157,3 @@ class TestDataset:
         observed = dataset.analyze().chains
         covered = sum(1 for key in observed if key in truth)
         assert covered == len(observed)
-
-
-class TestNoiseRouting:
-    """The DPD border sensor must make non-TLS noise invisible to the logs."""
-
-    def test_noisy_build_logs_identical(self):
-        clean = build_campus_dataset(seed=9, scale="small")
-        noisy = build_campus_dataset(seed=9, scale="small", noise_ratio=0.25)
-        assert [r.uid for r in clean.ssl_records] == \
-            [r.uid for r in noisy.ssl_records]
-        assert [r.fingerprint for r in clean.x509_records] == \
-            [r.fingerprint for r in noisy.x509_records]
-
-    def test_sensor_statistics_exposed(self):
-        noisy = build_campus_dataset(seed=9, scale="small", noise_ratio=0.25)
-        assert noisy.sensor is not None
-        assert noisy.sensor.skipped_flows > 0
-        assert noisy.sensor.tls_flows == len(noisy.ssl_records)
-        assert noisy.sensor.sni_mismatches == 0
-        assert 0.5 < noisy.sensor.tls_share < 1.0
-
-    def test_clean_build_has_no_sensor(self):
-        clean = build_campus_dataset(seed=9, scale="small")
-        assert clean.sensor is None

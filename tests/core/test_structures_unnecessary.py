@@ -1,11 +1,10 @@
-"""PKI graphs (Figures 5/7/8) and unnecessary-certificate attribution."""
+"""PKI graphs (Figures 5/7/8)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.chain import ObservedChain
-from repro.core.matching import analyze_structure
 from repro.core.structures import (
     build_cooccurrence_graph,
     build_issuance_graph,
@@ -13,10 +12,6 @@ from repro.core.structures import (
     complex_subgraph,
     infer_role,
     summarize_graph,
-)
-from repro.core.unnecessary import (
-    UnnecessaryPattern,
-    attribute_unnecessary,
 )
 from repro.x509 import CertificateFactory, name
 
@@ -130,57 +125,3 @@ class TestIssuanceGraph:
         assert summary.nodes == 10  # 4 leaves + 4 subs + hub + root
         assert summary.complex_intermediates == 1
         assert summary.components == 1
-
-
-class TestUnnecessaryAttribution:
-    def _structure(self, certs):
-        return analyze_structure(certs, require_leaf=True)
-
-    @pytest.fixture()
-    def base_chain(self, pki, factory):
-        le = pki.ca("lets_encrypt")
-        leaf = factory.leaf(le.intermediates["R3"], name("u.example"))
-        return (leaf, le.intermediates["R3"].certificate, le.root.certificate)
-
-    def test_fake_le_pattern(self, base_chain, factory, registry):
-        fake = factory.mismatched_pair_cert(name("Fake LE Root X1"),
-                                            name("Fake LE Intermediate X1"))
-        findings = attribute_unnecessary(
-            self._structure((*base_chain, fake)), registry)
-        assert len(findings) == 1
-        assert findings[0].pattern is UnnecessaryPattern.FAKE_LE_STAGING
-
-    def test_athenz_pattern(self, base_chain, factory, registry):
-        athenz = factory.self_signed(name("service.athenz.cloud", o="Athenz"))
-        findings = attribute_unnecessary(
-            self._structure((*base_chain, athenz)), registry)
-        assert findings[0].pattern is \
-            UnnecessaryPattern.SOFTWARE_APPENDED_SELF_SIGNED
-
-    def test_hp_tester_pattern(self, base_chain, factory, registry):
-        tester = factory.self_signed(name("tester", o="HP Inc"))
-        findings = attribute_unnecessary(
-            self._structure((*base_chain, tester)), registry)
-        assert findings[0].pattern is UnnecessaryPattern.ENTERPRISE_SELF_SIGNED
-
-    def test_extra_public_root_pattern(self, base_chain, pki, registry):
-        extra_root = pki.ca("godaddy").root.certificate
-        findings = attribute_unnecessary(
-            self._structure((*base_chain, extra_root)), registry)
-        assert findings[0].pattern is UnnecessaryPattern.EXTRA_PUBLIC_ROOT
-
-    def test_stray_leaf_before_path(self, base_chain, pki, factory, registry):
-        other = factory.leaf(pki.ca("godaddy").intermediates["g2"],
-                             name("old.example"))
-        findings = attribute_unnecessary(
-            self._structure((other, *base_chain)), registry)
-        assert findings[0].pattern is UnnecessaryPattern.LEAF_BEFORE_PATH
-        assert findings[0].index == 0
-
-    def test_no_best_path_no_findings(self, factory, registry):
-        a = factory.self_signed(name("x.local"))
-        b = factory.self_signed(name("y.local"))
-        assert attribute_unnecessary(self._structure((a, b)), registry) == []
-
-    def test_clean_chain_no_findings(self, base_chain, registry):
-        assert attribute_unnecessary(self._structure(base_chain), registry) == []

@@ -35,18 +35,6 @@ class TestGenerateCommand:
         assert "Chain categories" in analysis
         assert "distinct certificates:" in analysis
 
-    def test_legacy_writer_flag_identical_output(self, tmp_path, capsys):
-        compiled_dir = str(tmp_path / "compiled")
-        legacy_dir = str(tmp_path / "legacy")
-        assert main(["generate", "--out", compiled_dir, "--seed", "7"]) == 0
-        assert main(["generate", "--out", legacy_dir, "--seed", "7",
-                     "--legacy-writer"]) == 0
-        capsys.readouterr()
-        for name in sorted(os.listdir(compiled_dir)):
-            with open(os.path.join(compiled_dir, name)) as a, \
-                    open(os.path.join(legacy_dir, name)) as b:
-                assert a.read() == b.read(), name
-
     def test_rejects_nonpositive_jobs(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["generate", "--out", str(tmp_path / "x"), "--jobs", "0"])

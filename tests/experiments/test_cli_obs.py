@@ -114,18 +114,6 @@ class TestObservabilityOutputs:
         assert "cannot write trace" in captured.err
         assert "Traceback" not in captured.err
 
-    def test_serve_metrics_responds_during_run(self, tmp_path, capsys):
-        # Port 0 binds an ephemeral port; the CLI announces the URL on
-        # stderr before the run starts, which is enough to prove the
-        # server came up — liveness during a run is covered by the
-        # MetricsServer unit tests.
-        status = main(["--scale", "small", "-e", "table2",
-                       "--serve-metrics", "0"])
-        captured = capsys.readouterr()
-        assert status == 0
-        assert "serving metrics at" in captured.err
-        assert "/metrics" in captured.err
-
 
 class TestBenchReportDispatch:
     def test_bench_report_subcommand_routes_and_reports(self, tmp_path,

@@ -93,6 +93,25 @@ class TestWorkerChaosRun:
         assert resilience["supervisor_worker_crashes"] >= 2
         assert resilience["supervisor_pool_rebuilds"] >= 1
 
+    def test_analysis_incidents_reported_unless_served_from_a_store(
+            self, shard_dir, tmp_path, capsys):
+        """Logs mode echoes the analysis dispatch's incidents after
+        ingest's; an analysis served from the checkpoint ran no dispatch,
+        so it reports none."""
+        args = ["--shard-dir", shard_dir, "--jobs", "2",
+                "--fault-plan", CHAOS_PLAN, "--max-task-retries", "2",
+                "--checkpoint-dir", str(tmp_path / "checkpoints")]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "supervisor[analysis]: recovered from worker_crash" in out
+        assert out.index("supervisor[ingest]") < \
+            out.index("supervisor[analysis]")
+
+        assert main(args + ["--resume"]) == 0
+        resumed_out = capsys.readouterr().out
+        assert "supervisor[analysis]" not in resumed_out
+        assert tables_only(resumed_out) == tables_only(out)
+
     def test_task_timeout_flag_reaches_the_engines(self, shard_dir, capsys):
         # A generous deadline on a healthy run: nothing flagged, clean exit.
         status = main(["--shard-dir", shard_dir, "--jobs", "2",

@@ -4,9 +4,9 @@ The analysis and generation runs import ``repro.experiments``,
 ``repro.parallel``, ``repro.resilience`` and the CLI module.  Table 5
 and the blind-spot ablation load the crypto-backed validators, and the
 section-5 revisit and the survey the scan simulator, on first use; the
-CLI loads its metrics server and bench report only for
-``--serve-metrics`` and ``bench-report``; the columnar reader loads
-numpy on its first vectorised read, so generation never does.  None of
+CLI loads its bench report only for ``bench-report``; the columnar
+reader loads numpy on its first vectorised read, so generation never
+does.  None of
 those may be imported up front, nor may networkx, a test oracle only.
 """
 

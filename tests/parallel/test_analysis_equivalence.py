@@ -274,6 +274,37 @@ class TestPartialsCarryDerivedStateOnly:
         assert loaded.hybrid == partial.hybrid
 
 
+class _NoSupervisedRun(pickle.Unpickler):
+    """Loads a pickle unless it holds a supervised dispatch."""
+
+    def find_class(self, module, name):
+        if module == "repro.parallel.supervisor":
+            raise pickle.UnpicklingError(f"{module}.{name} in a checkpoint")
+        return super().find_class(module, name)
+
+
+class TestEnrichmentCheckpoint:
+    """The ``enrichment`` checkpoint keeps the merged maps only: the
+    dispatch's results would store every partial a second time."""
+
+    def test_checkpoint_holds_no_dispatch_and_resumes(self, dataset,
+                                                       chains, tmp_path):
+        store = CheckpointStore(str(tmp_path))
+        fresh = dataset.analyzer().analyze_chains(chains, jobs=1,
+                                                  checkpoint=store)
+        assert len(fresh.supervisor.results) == DEFAULT_PARTITIONS
+        with open(tmp_path / "stage-enrichment.ckpt", "rb") as handle:
+            envelope = _NoSupervisedRun(io.BytesIO(handle.read())).load()
+        saved = envelope["payload"]
+        assert isinstance(saved, EnrichedChains) and saved.supervisor is None
+        assert saved.categories and saved.hybrid_by_key
+
+        resumed = dataset.analyzer().analyze_chains(
+            chains, jobs=1, checkpoint=store, resume=True)
+        assert resumed.supervisor is None
+        assert render(resumed) == render(fresh)
+
+
 def _record_submitted_tasks(monkeypatch, module, submitted):
     """Pickle every task ``module`` hands to ``run_supervised``."""
     original = module.run_supervised

@@ -142,16 +142,6 @@ class TestGoldenByteIdentity:
             assert all(spec.x509_path.endswith("x509.log")
                        for spec in result.shards)
 
-    def test_legacy_writer_produces_identical_bytes(self, tmp_path,
-                                                    generated):
-        """``compiled=False`` is a perf baseline, never a format fork."""
-        out = str(tmp_path / "legacy")
-        generate_dataset(out, seed=SEED, scale=resolve_scale("small"),
-                         jobs=1, compiled=False)
-        for name in sorted(os.listdir(generated[1]["out"])):
-            assert read_all(os.path.join(out, name)) == \
-                read_all(os.path.join(generated[1]["out"], name)), name
-
 
 class TestFaultPlanIsolation:
     def test_generation_identical_under_active_fault_plan(self, tmp_path,

@@ -19,8 +19,6 @@ from repro.zeek import (
     reconstruct_certificate,
     x509_record_from_certificate,
 )
-from repro.zeek.dpd import client_hello_bytes, looks_like_tls, sniff_version
-from repro.tls.messages import TLSVersion
 
 
 @pytest.fixture()
@@ -112,26 +110,3 @@ class TestJoin:
         records = [r for r in tap.x509_records if r.fingerprint == leaf.fingerprint]
         with pytest.raises(KeyError):
             join_logs(tap.ssl_records, records, strict=True)
-
-
-class TestDPD:
-    def test_client_hello_detected(self):
-        assert looks_like_tls(client_hello_bytes())
-
-    def test_version_sniffed(self):
-        payload = client_hello_bytes(TLSVersion.TLS12)
-        assert sniff_version(payload) is TLSVersion.TLS12
-
-    def test_http_not_detected(self):
-        assert not looks_like_tls(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n")
-
-    def test_short_payload_not_detected(self):
-        assert not looks_like_tls(b"\x16\x03")
-
-    def test_garbage_with_tls_byte_not_detected(self):
-        assert not looks_like_tls(b"\x16\x07\x00\x00\x10\x01")
-
-    def test_oversized_record_rejected(self):
-        payload = bytearray(client_hello_bytes())
-        payload[3], payload[4] = 0xFF, 0xFF
-        assert not looks_like_tls(bytes(payload))
