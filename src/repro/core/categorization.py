@@ -71,12 +71,6 @@ class CategorizedChains:
     def total_chains(self) -> int:
         return sum(len(chains) for chains in self.by_category.values())
 
-    def category_share(self, category: ChainCategory) -> float:
-        total = self.total_chains
-        if total == 0:
-            return 0.0
-        return len(self.by_category[category]) / total
-
     def summary_rows(self) -> list[dict]:
         """Table 2: chains / connections / client IPs per category."""
         rows = []

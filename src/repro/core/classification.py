@@ -73,10 +73,6 @@ class CertificateClassifier:
     def classify_chain(self, chain: Sequence[Certificate]) -> ChainClassProfile:
         return ChainClassProfile(tuple(self.classify(cert) for cert in chain))
 
-    def is_public_anchor(self, certificate: Certificate) -> bool:
-        """Is this certificate itself a public trust anchor (in a root store)?"""
-        return self.registry.is_trust_anchor_name(certificate.subject)
-
     def chain_anchored_to_public_root(self, chain: Sequence[Certificate]) -> bool:
         """Does the chain terminate at — or name as its final issuer — a
         public trust anchor?  (The 'anchored to a public trust root'

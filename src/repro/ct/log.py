@@ -132,9 +132,6 @@ class CTLog:
     def contains(self, certificate: Certificate) -> bool:
         return certificate.fingerprint in self._by_fingerprint
 
-    def index_of(self, certificate: Certificate) -> Optional[int]:
-        return self._by_fingerprint.get(certificate.fingerprint)
-
     def prove_inclusion(self, certificate: Certificate) -> list[bytes]:
         index = self._by_fingerprint.get(certificate.fingerprint)
         if index is None:

@@ -54,9 +54,9 @@ def run_figure1(dataset: CampusDataset) -> ExperimentResult:
     # Outlier exclusion (the paper drops 3 monster chains observed once).
     _, excluded = exclude_outliers(
         result.categorized.chains(ChainCategory.NON_PUBLIC_ONLY))
+    excluded_lengths = sorted((c.length for c in excluded), reverse=True)
     rows.append(["excluded outlier lengths",
-                 str(list(PAPER.outlier_lengths)),
-                 str(sorted((c.length for c in excluded), reverse=True)),
+                 str(list(PAPER.outlier_lengths)), str(excluded_lengths),
                  "all unestablished, observed once"])
     cdf_lines = []
     for category in ChainCategory:
@@ -68,7 +68,7 @@ def run_figure1(dataset: CampusDataset) -> ExperimentResult:
                                 rows + cdf_lines)
     return ExperimentResult("figure1", "Chain length CDF", rendered, {
         "cdf": {c.value: distributions[c].cdf() for c in ChainCategory},
-        "excluded": [c.length for c in excluded],
+        "excluded": excluded_lengths,
     })
 
 

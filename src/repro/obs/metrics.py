@@ -174,9 +174,6 @@ class _MetricFamily:
                     key, _CHILD_TYPES[self.kind](self))
         return child
 
-    def _default_child(self) -> _Child:
-        return self.labels()
-
     def reset_values(self) -> None:
         """Zero every child in place (handles held by callers stay valid)."""
         with self._lock:

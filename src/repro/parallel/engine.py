@@ -67,6 +67,13 @@ log = get_logger(__name__)
 #: Replayed value-for-value from worker telemetry (see ``TelemetrySink``).
 _REPLAY = ("repro_faults_injected_total",)
 
+#: Input size (each distinct X509 log once, plus every SSL shard) from
+#: which an ingest reads vectorised.  numpy's import is a fixed cost and
+#: the vectorised read's per-byte saving repays it at about this size
+#: (docs/PERFORMANCE.md, "Import footprint"); a smaller ingest reads
+#: per line, and no process imports numpy.
+VECTORISE_MIN_BYTES = 8 * 2 ** 20
+
 
 @dataclass
 class IngestResult:
@@ -111,6 +118,12 @@ def _stat(path: str) -> Tuple[int, int]:
     except OSError:
         return -1, -1
     return info.st_size, info.st_mtime_ns
+
+
+def _input_bytes(x509_paths: List[str], shard_list: List[ShardSpec]) -> int:
+    """What an ingest reads: each distinct X509 log once, every shard."""
+    return sum(max(_stat(path)[0], 0) for path in
+               [*x509_paths, *(spec.ssl_path for spec in shard_list)])
 
 
 def _x509_fingerprint(task: X509Task) -> str:
@@ -167,19 +180,29 @@ def ingest_shards(shards: Iterable[ShardSpec], *,
     whose X509 task was dropped (poison with ``serial_fallback=False``)
     is dropped too, as an incident and a quarantine record: it is never
     joined against an empty fingerprint set.
+
+    An input of at least :data:`VECTORISE_MIN_BYTES` is read vectorised,
+    with numpy loaded here before the first dispatch so that forked
+    workers inherit it; a smaller one is read per line, and no process
+    loads numpy.  Chains, rows and quarantine records are the same
+    either way; only the ``repro_columnar_rows_total`` and
+    ``repro_columnar_runs_total`` split differs.
     """
     shard_list = sorted(shards, key=lambda spec: spec.index)
     requested, jobs = clamp_jobs(jobs, len(shard_list))
     tolerant = quarantine is not None
     paths = list(dict.fromkeys(spec.x509_path for spec in shard_list))
     config = resolve_config(supervise, plan=plan, quarantine=quarantine)
-    # numpy loads on the first vectorised read: load it before any pool
-    # forks, so that workers inherit it instead of importing it.
-    load_numpy()
+    vectorise = _input_bytes(paths, shard_list) >= VECTORISE_MIN_BYTES
+    if vectorise:
+        # Load numpy before any pool forks, so that workers inherit it
+        # instead of importing it.
+        load_numpy()
     with trace_span("parallel_ingest", shards=len(shard_list), jobs=jobs):
         x509_run = run_supervised(
             "ingest",
-            [X509Task(index=i, x509_path=path, plan=plan, tolerant=tolerant)
+            [X509Task(index=i, x509_path=path, plan=plan, tolerant=tolerant,
+                      vectorise=vectorise)
              for i, path in enumerate(paths)],
             process_x509_log, jobs=min(jobs, len(paths)), config=config,
             task_ids=lambda task, i: f"ingest:x509:{task.index:04d}",
@@ -189,7 +212,7 @@ def ingest_shards(shards: Iterable[ShardSpec], *,
                 if partial is not None}
         tasks = [ShardTask(index=spec.index, ssl_path=spec.ssl_path,
                            x509_path=spec.x509_path, plan=plan,
-                           tolerant=tolerant)
+                           tolerant=tolerant, vectorise=vectorise)
                  for spec in shard_list if spec.x509_path in logs]
         shard_run = run_supervised(
             "ingest", tasks, process_shard, jobs=jobs, config=config,
@@ -208,8 +231,8 @@ def ingest_shards(shards: Iterable[ShardSpec], *,
     result.requested_jobs = requested
     log.debug("parallel ingest complete", extra=kv(
         shards=len(shard_list), x509_logs=len(paths), jobs=jobs,
-        requested_jobs=requested, ssl_rows=result.ssl_rows,
-        chains=len(result.chains)))
+        requested_jobs=requested, vectorise=vectorise,
+        ssl_rows=result.ssl_rows, chains=len(result.chains)))
     return result
 
 

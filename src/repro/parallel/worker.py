@@ -62,12 +62,18 @@ def _injector(plan: Optional[FaultPlan]) -> Optional[FaultInjector]:
 
 @dataclass(frozen=True, slots=True)
 class X509Task:
-    """One distinct X509 log to read, picklable for the process pool."""
+    """One distinct X509 log to read, picklable for the process pool.
+
+    ``vectorise`` is the ingest's read mode (see
+    :data:`~repro.parallel.engine.VECTORISE_MIN_BYTES`); it changes only
+    the decode tallies, so it is not part of the journal fingerprint.
+    """
 
     index: int
     x509_path: str
     plan: Optional[FaultPlan] = None
     tolerant: bool = False
+    vectorise: bool = True
 
 
 @dataclass(slots=True)
@@ -91,7 +97,8 @@ class ShardTask:
     """One SSL shard to fold, picklable for the process pool.
 
     ``x509_path`` names the log whose fingerprint positions (the
-    dispatch's shared state) the shard joins against.
+    dispatch's shared state) the shard joins against; ``vectorise`` is
+    as on :class:`X509Task`.
     """
 
     index: int
@@ -99,6 +106,7 @@ class ShardTask:
     x509_path: str
     plan: Optional[FaultPlan] = None
     tolerant: bool = False
+    vectorise: bool = True
 
 
 @dataclass(slots=True)
@@ -142,7 +150,8 @@ def process_x509_log(task: X509Task) -> X509Partial:
             trace_span("ingest_x509", log=task.index):
         x509 = read_zeek_log_columnar(task.x509_path, quarantine=quarantine,
                                       faults=_injector(task.plan),
-                                      project=_X509_PROJECTION)
+                                      project=_X509_PROJECTION,
+                                      vectorise=task.vectorise)
         seen: dict = {}
         picks: list = []
         for segment in x509.segments:
@@ -187,7 +196,8 @@ def process_shard(task: ShardTask) -> ShardPartial:
         ssl = read_zeek_log_columnar(task.ssl_path, quarantine=quarantine,
                                      faults=_injector(task.plan),
                                      intern=_SSL_INTERN,
-                                     project=_SSL_PROJECTION)
+                                     project=_SSL_PROJECTION,
+                                     vectorise=task.vectorise)
         fold = ChainFold()
         for segment in ssl.segments:
             columns = segment.columns

@@ -45,10 +45,6 @@ class ConnectionRecord:
     validation_detail: str = ""
 
     @property
-    def has_sni(self) -> bool:
-        return bool(self.sni)
-
-    @property
     def chain_fingerprints(self) -> tuple[str, ...]:
         return tuple(cert.fingerprint for cert in self.chain)
 

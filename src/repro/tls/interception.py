@@ -16,7 +16,6 @@ from datetime import datetime
 from typing import Dict, Optional, Sequence
 
 from ..x509.certificate import Certificate
-from ..x509.dn import DistinguishedName
 from ..x509.generation import CertificateFactory, IssuingAuthority, name
 
 __all__ = ["InterceptionCategory", "InterceptionMiddlebox"]
@@ -72,13 +71,6 @@ class InterceptionMiddlebox:
                 authority, name(label, o=self.vendor), path_len=None)
             self._ladder.append(authority)
         self.issuing = authority
-
-    @property
-    def issuer_names(self) -> list[DistinguishedName]:
-        names = [self.root.subject]
-        if self.issuing is not self.root:
-            names.append(self.issuing.subject)
-        return names
 
     def substitute_chain(self, host: str) -> tuple[Certificate, ...]:
         """The chain the appliance presents in place of the origin's."""

@@ -42,11 +42,6 @@ class PublicCA:
     #: Which root stores carry this CA's root.
     store_membership: tuple[str, ...] = STORE_NAMES
 
-    def default_intermediate(self) -> IssuingAuthority:
-        if not self.intermediates:
-            return self.root
-        return next(iter(self.intermediates.values()))
-
     def intermediate(self, label: str) -> IssuingAuthority:
         return self.intermediates[label]
 

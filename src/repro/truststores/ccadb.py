@@ -83,9 +83,6 @@ class CCADB:
             for record in self._by_dn.get(_dn_key(dn), ())
         )
 
-    def records_for_subject(self, dn: DistinguishedName) -> list[CCADBRecord]:
-        return list(self._by_dn.get(_dn_key(dn), ()))
-
     def contains_fingerprint(self, fingerprint: str) -> bool:
         record = self._by_fingerprint.get(fingerprint)
         return record is not None and record.eligible() and not record.revoked

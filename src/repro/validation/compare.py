@@ -52,12 +52,6 @@ class Table5Result:
              "issuer_subject": None, "key_signature": self.ks_unrecognized},
         ]
 
-    @property
-    def position_agreement_rate(self) -> float:
-        if self.position_comparisons == 0:
-            return 1.0
-        return self.position_agreements / self.position_comparisons
-
 
 def compare_validators(corpus: ValidationCorpus, *,
                        disclosures: Optional[CrossSignDisclosures] = None

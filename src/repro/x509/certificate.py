@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from enum import Enum
 from typing import Optional
 
@@ -168,8 +168,3 @@ class Certificate:
             f"Certificate(subject={self.subject.rfc4514()!r}, "
             f"issuer={self.issuer.rfc4514()!r}, serial={self.serial!r})"
         )
-
-
-def utcnow() -> datetime:
-    """Timezone-aware 'now'; isolated for test monkeypatching."""
-    return datetime.now(timezone.utc)

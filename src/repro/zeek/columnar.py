@@ -32,10 +32,12 @@ columns back and re-parses those exact lines through the same compiled
 row codec the default reader uses, reproducing byte-identical rows,
 quarantine ``file:line`` records, strict-mode errors, and metric
 counts.  Fault injection always takes the per-line path (corruption is
-defined line-at-a-time), as does a numpy-less interpreter or a file
-with ``\\r`` line endings (the text-mode readers translate those).
-numpy is imported on the first vectorised read (:func:`load_numpy`),
-not with this module.
+defined line-at-a-time), as does a numpy-less interpreter, a file
+with ``\\r`` line endings (the text-mode readers translate those), and
+a read with ``vectorise=False``, which the ingest engine asks for when
+its input is too small to repay numpy's import
+(:data:`repro.parallel.engine.VECTORISE_MIN_BYTES`).  numpy is imported
+on the first vectorised read (:func:`load_numpy`), not with this module.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..resilience.quarantine import Quarantine
 
 #: numpy, bound by :func:`load_numpy` on the first vectorised read: only
-#: that path uses it, so generation and importing the program never load it.
+#: that path uses it, so generation, importing the program and a small
+#: ingest never load it.
 _np = None
 _numpy_missing = False
 
@@ -68,7 +71,13 @@ _GATHER_MAX_WIDTH = 24
 
 def load_numpy():
     """Import numpy for the vectorised path, once; ``None`` when it is
-    not installed, and every read then takes the per-line path."""
+    not installed, and every read then takes the per-line path.
+
+    :func:`~repro.parallel.engine.ingest_shards` calls it before its
+    workers fork, and only for an input of at least
+    :data:`~repro.parallel.engine.VECTORISE_MIN_BYTES`; a smaller ingest
+    reads per line and imports numpy in no process.
+    """
     global _np, _numpy_missing
     if _np is None and not _numpy_missing:
         try:
@@ -828,8 +837,8 @@ def read_zeek_log_columnar(path_on_disk: str, *,
                            quarantine: "Optional[Quarantine]" = None,
                            faults: "Optional[FaultInjector]" = None,
                            intern: Sequence[str] = (),
-                           project: Optional[Sequence[str]] = None
-                           ) -> ColumnarTable:
+                           project: Optional[Sequence[str]] = None,
+                           vectorise: bool = True) -> ColumnarTable:
     """Read a whole log into typed columns; see the module docstring.
 
     ``intern`` names columns stored as id lists against per-table
@@ -837,6 +846,9 @@ def read_zeek_log_columnar(path_on_disk: str, *,
     columns are materialised — columns whose conversion can fail are
     still decoded so parse errors quarantine exactly as the row readers
     would, while infallible string/bool columns are skipped outright.
+    ``vectorise=False`` reads every line through the per-line path and
+    never loads numpy: the same columns and quarantine records, only
+    the :class:`ColumnarStats` decode tallies differ.
     Strict/tolerant and fault-injection semantics match
     :func:`repro.zeek.format.iter_zeek_log` record for record.
     """
@@ -862,7 +874,7 @@ def read_zeek_log_columnar(path_on_disk: str, *,
                 builder._plain_fast = ("\\x" not in text
                                        and "(empty)" not in text)
             if faults is not None or (text is not None and "\r" in text) \
-                    or load_numpy() is None:
+                    or not vectorise or load_numpy() is None:
                 if text is None:
                     text = bytes(buf).decode("utf-8")  # raises like legacy
                 builder.scan_text(text, faults)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
-
 import pytest
 
 from repro.core.classification import CertificateClassifier
@@ -35,9 +33,3 @@ def classifier(registry):
 @pytest.fixture()
 def factory():
     return CertificateFactory(seed=1234)
-
-
-@pytest.fixture(scope="session")
-def mid_study():
-    """A timestamp inside the paper's measurement window."""
-    return datetime(2021, 2, 15, tzinfo=timezone.utc)

@@ -45,6 +45,14 @@ def test_experiment_runs_and_renders(exp_id, dataset):
     assert result.measured
 
 
+def test_figure1_reports_excluded_lengths_longest_first():
+    # The measured outliers follow the rendered row's order, not the
+    # order the chains were observed in ([921, 41, 3822] at this seed).
+    result = run_experiment("figure1",
+                            cached_campus_dataset(seed=7, scale="small"))
+    assert result.measured["excluded"] == [3822, 921, 41]
+
+
 class TestCLI:
     def test_listing_mode(self, capsys):
         assert main([]) == 0

@@ -5,8 +5,9 @@ The analysis and generation runs import ``repro.experiments``,
 and the blind-spot ablation load the crypto-backed validators, and the
 section-5 revisit and the survey the scan simulator, on first use; the
 CLI loads its bench report only for ``bench-report``; the columnar
-reader loads numpy on its first vectorised read, so generation never
-does.  None of
+reader loads numpy on its first vectorised read, and only an ingest of
+at least ``VECTORISE_MIN_BYTES`` reads vectorised, so generation and a
+small ingest never do.  None of
 those may be imported up front, nor may networkx, a test oracle only.
 """
 
@@ -54,7 +55,7 @@ def record_numpy_import(event, args):
             handle.write(f"{os.getpid()}\\n")
 
 sys.addaudithook(record_numpy_import)
-from repro.parallel import discover_shards, generate_dataset, ingest_shards
+from repro.parallel import discover_shards, engine, generate_dataset
 jobs = [generate_dataset(os.path.join(out, str(jobs)), seed="lean",
                          scale="small", jobs=jobs).jobs
         for jobs in (1, 2)]
@@ -67,15 +68,24 @@ for i in range(2):
     shutil.copy(os.path.join(out, "2", f"ssl-{i:02d}.log"), shards)
     shutil.copy(os.path.join(out, "2", "x509.log"),
                 os.path.join(shards, f"x509-{i:02d}.log"))
-ingest = ingest_shards(discover_shards(shards), jobs=2)
+specs = discover_shards(shards)
+small = engine.ingest_shards(specs, jobs=2)
+after_small = "numpy" in sys.modules
+imported_during_small = os.path.exists(marker)
+# The same ingest with the constant below its input size reads vectorised.
+engine.VECTORISE_MIN_BYTES = 0
+large = engine.ingest_shards(specs, jobs=2)
 with open(marker) as handle:
     importers = set(handle.read().split())
 print(json.dumps({
     "jobs": jobs,
     "after_generate": after_generate,
     "imported_during_generate": imported_during_generate,
-    "ingest_jobs": ingest.jobs,
-    "chains": len(ingest.chains),
+    "ingest_jobs": [small.jobs, large.jobs],
+    "same_chains": list(small.chains) == list(large.chains),
+    "chains": len(small.chains),
+    "after_small_ingest": after_small,
+    "imported_during_small_ingest": imported_during_small,
     "imported_by_driver_only": importers == {str(os.getpid())},
 }))
 """
@@ -98,8 +108,13 @@ def test_generation_never_loads_numpy(tmp_path):
     assert report["jobs"] == [1, 2]  # inline, then two forked workers
     assert report["after_generate"] is False
     assert report["imported_during_generate"] is False
-    # Ingest loads it once, in the driver, before forking its workers.
-    assert report["ingest_jobs"] == 2 and report["chains"]
+    # An ingest below VECTORISE_MIN_BYTES reads per line: no process,
+    # neither the driver nor a forked worker, loads numpy.
+    assert report["ingest_jobs"] == [2, 2] and report["chains"]
+    assert report["after_small_ingest"] is False
+    assert report["imported_during_small_ingest"] is False
+    # Above it, the driver loads numpy once, before forking its workers.
+    assert report["same_chains"] is True
     assert report["imported_by_driver_only"] is True
 
 

@@ -230,12 +230,14 @@ from repro.parallel.worker import (_SSL_INTERN, _SSL_PROJECTION,
 from repro.resilience import Quarantine
 from repro.zeek.columnar import read_zeek_log_columnar
 report = {"numpy_before_read": sys.modules.get("numpy") is not None}
+vectorise = mode != "per-line"
 for name, path, options in (
         ("ssl", ssl_path, {"intern": _SSL_INTERN,
                            "project": _SSL_PROJECTION}),
         ("x509", x509_path, {"project": _X509_PROJECTION})):
     quarantine = Quarantine()
-    table = read_zeek_log_columnar(path, quarantine=quarantine, **options)
+    table = read_zeek_log_columnar(path, quarantine=quarantine,
+                                   vectorise=vectorise, **options)
     report[name] = {
         "rows": table.to_rows(),
         "quarantine": [dataclasses.asdict(r) for r in quarantine.records],
@@ -249,8 +251,9 @@ print(json.dumps(report))
 
 class TestWithoutNumpy:
     """numpy loads on the first vectorised read, and an interpreter
-    without it reads every run per line, with the same columns and
-    quarantine records as the vectorised read."""
+    without it, or a read with ``vectorise=False``, reads every run per
+    line, with the same columns and quarantine records as the
+    vectorised read."""
 
     def test_blocked_numpy_reads_a_shard_per_line(self, tmp_path):
         generate_dataset(str(tmp_path), seed="no-numpy", scale="small",
@@ -268,29 +271,30 @@ class TestWithoutNumpy:
         env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"]
                                    if env.get("PYTHONPATH") else "")
         reports = {}
-        for mode in ("vectorised", "blocked"):
+        for mode in ("vectorised", "blocked", "per-line"):
             out = subprocess.run(
                 [sys.executable, "-c", _READ_SHARD, mode, str(ssl_path),
                  str(tmp_path / "x509.log")],
                 check=True, env=env, capture_output=True, text=True,
                 timeout=300).stdout
             reports[mode] = json.loads(out.strip().splitlines()[-1])
-        vectorised, blocked = reports["vectorised"], reports["blocked"]
+        vectorised = reports.pop("vectorised")
         # The first vectorised read loads numpy; importing does not.
         assert vectorised["numpy_before_read"] is False
         assert vectorised["numpy_after_read"] is True
-        assert blocked["numpy_after_read"] is False
-        for name in ("ssl", "x509"):
-            assert blocked[name]["rows"] == vectorised[name]["rows"]
-            assert blocked[name]["quarantine"] \
-                == vectorised[name]["quarantine"]
-            assert vectorised[name]["vector_rows"] > 0
-            assert blocked[name]["vector_rows"] == 0
-            assert blocked[name]["line_rows"] \
-                == len(blocked[name]["rows"])
-        assert [record["reason"] for record
-                in blocked["ssl"]["quarantine"]] == ["column-count",
-                                                     "field-parse"]
+        for per_line in reports.values():
+            assert per_line["numpy_after_read"] is False
+            for name in ("ssl", "x509"):
+                assert per_line[name]["rows"] == vectorised[name]["rows"]
+                assert per_line[name]["quarantine"] \
+                    == vectorised[name]["quarantine"]
+                assert vectorised[name]["vector_rows"] > 0
+                assert per_line[name]["vector_rows"] == 0
+                assert per_line[name]["line_rows"] \
+                    == len(per_line[name]["rows"])
+            assert [record["reason"] for record
+                    in per_line["ssl"]["quarantine"]] == ["column-count",
+                                                          "field-parse"]
 
 
 # -- Hypothesis: generated tables of every column type ---------------------
