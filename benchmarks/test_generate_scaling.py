@@ -12,14 +12,23 @@ override) — scale changes move absolute numbers, not the compiled-vs-
 legacy ratio or the jobs scaling the gates assert.  The multi-core
 speedup assertion only runs where multi-core speedup is physically
 possible and the clamp actually granted more than one worker.
+
+It also records how a generation worker's peak resident set grows when
+every chain carries eight times the connections: one fresh process per
+rate runs ``generate_dataset(jobs=2)`` and reads its reaped workers'
+``RUSAGE_CHILDREN`` maximum (a process-lifetime maximum, hence one
+process per measurement).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import time
 
 import pytest
@@ -39,6 +48,47 @@ BENCH_OUT = os.environ.get(
     "REPRO_BENCH_GENERATE_OUT",
     os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                  "BENCH_generate.json"))
+
+
+#: Connection-rate multipliers of the worker-memory probe.
+RSS_RATES = (1, 8)
+#: Most a worker's peak RSS may grow from the ×1 to the ×8 rate (MiB).
+#: Measured growth at ``small`` (2 vCPU, CPython 3.11): 5.3–5.5 MiB while
+#: plans held a tuple slot per connection and the writer buffered 4,096
+#: lines, 0.4–0.8 MiB with compact plans and 64 KiB blocks.
+WORKER_RSS_GROWTH_MIB = 2.5
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+_WORKER_PEAK = """
+import json, resource, sys, tempfile
+from repro.campus.profiles import ScaleConfig
+from repro.parallel.generate import generate_dataset
+scale = ScaleConfig(**json.loads(sys.argv[2]))
+with tempfile.TemporaryDirectory() as out:
+    result = generate_dataset(out, seed=sys.argv[1], scale=scale, jobs=2)
+print(json.dumps({
+    "ssl_rows": result.ssl_rows, "effective_jobs": result.jobs,
+    "worker_peak_mib":
+        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024}))
+"""
+
+
+def _worker_peak(scale, rate: int) -> dict:
+    """Peak RSS of the generation workers, in a fresh process, with every
+    per-category connection rate multiplied by ``rate``."""
+    fields = dataclasses.asdict(scale)
+    for name in ("conns_per_nonpub_chain", "conns_per_public_chain",
+                 "conns_per_interception_chain", "conns_per_hybrid_chain"):
+        fields[name] *= rate
+    fields["name"] = f"{scale.name}-x{rate}"
+    env = dict(os.environ, REPRO_PARALLEL_NO_CPU_CLAMP="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _WORKER_PEAK, GEN_SEED, json.dumps(fields)],
+        env=env, check=True, capture_output=True, text=True)
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def _timed(fn) -> float:
@@ -101,6 +151,10 @@ def generate_bench(tmp_path_factory):
     engine_seconds = {jobs: _best(lambda jobs=jobs: run_engine(jobs))
                       for jobs in JOBS_MATRIX}
 
+    worker_rss = {str(rate): _worker_peak(scale, rate) for rate in RSS_RATES}
+    low, high = (worker_rss[str(rate)]["worker_peak_mib"]
+                 for rate in RSS_RATES)
+
     rows = len(ssl_rows)
     total = engine_results[1].ssl_rows + engine_results[1].x509_rows
     numbers = {
@@ -133,6 +187,7 @@ def generate_bench(tmp_path_factory):
                         "requested_jobs": engine_results[jobs].requested_jobs,
                         "effective_jobs": engine_results[jobs].jobs}
             for jobs, seconds in engine_seconds.items()},
+        "worker_rss": {"rates": worker_rss, "growth_mib": high - low},
     }
     with open(BENCH_OUT, "w", encoding="utf-8") as handle:
         json.dump(numbers, handle, indent=2, sort_keys=True)
@@ -178,3 +233,14 @@ def test_parallel_scaling_at_four_workers(generate_bench):
     if fanned["effective_jobs"] <= 1:
         pytest.skip("jobs clamp left a single effective worker")
     assert fanned["speedup_vs_single"] > 1.15
+
+
+def test_worker_memory_grows_with_specs_not_connections(generate_bench):
+    # Eight times the connections over the same specs: a worker's plans
+    # hold one byte per connection and its writers a bounded block, so
+    # its peak may grow by little more than the cells' transient rows.
+    rss = generate_bench["worker_rss"]
+    low, high = (rss["rates"][str(rate)] for rate in RSS_RATES)
+    assert high["ssl_rows"] > 6 * low["ssl_rows"]
+    assert low["effective_jobs"] == high["effective_jobs"] == 2
+    assert rss["growth_mib"] < WORKER_RSS_GROWTH_MIB, rss

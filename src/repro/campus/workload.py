@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import hashlib
 import random
+from array import array
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from ..draws import randbelow, randbelow_many, randbelow_rounds
 from ..tls.connection import ConnectionRecord, Endpoint
@@ -38,9 +40,9 @@ from ..x509.certificate import Certificate
 from .profiles import PAPER, PORT_MODELS, ScaleConfig
 from .spec import ChainSpec, ClientMix
 
-__all__ = ["ClientPools", "SpecPlan", "WorkloadGenerator", "CellRow",
-           "GENERATION_SHARDS", "STUDY_START", "STUDY_DAYS", "shard_window",
-           "memoize_verdicts", "connection_of"]
+__all__ = ["AddressPool", "ClientPools", "SpecPlan", "WorkloadGenerator",
+           "CellRow", "GENERATION_SHARDS", "STUDY_START", "STUDY_DAYS",
+           "shard_window", "memoize_verdicts", "connection_of"]
 
 STUDY_START = datetime(2020, 9, 1, tzinfo=timezone.utc)
 STUDY_DAYS = 365
@@ -66,6 +68,31 @@ def shard_window(shard: int, shards: int = GENERATION_SHARDS
     return shard * span, span
 
 
+class AddressPool(SequenceABC):
+    """One pool's NAT'd client addresses, kept as their drawn octets.
+
+    Address ``i`` is ``10.{16 + o[3i]}.{o[3i + 1]}.{1 + o[3i + 2]}``
+    over the octet bytes ``o``, rendered each time it is indexed, with
+    no memo.  The plans sample a fraction of each pool, so a worker
+    never builds the strings of the addresses no connection uses, and
+    holds no string for longer than the row that carries it.
+    """
+
+    __slots__ = ("octets",)
+
+    def __init__(self, octets: bytes):
+        self.octets = octets
+
+    def __len__(self) -> int:
+        return len(self.octets) // 3
+
+    def __getitem__(self, index: int) -> str:
+        octets = self.octets
+        base = 3 * range(len(octets) // 3)[index]
+        return (f"10.{16 + octets[base]}.{octets[base + 1]}."
+                f"{1 + octets[base + 2]}")
+
+
 class ClientPools:
     """NAT'd campus client IPs partitioned by traffic population.
 
@@ -79,7 +106,7 @@ class ClientPools:
         reference_total = PAPER.nonpub_client_ips + PAPER.hybrid_client_ips \
             + PAPER.interception_client_ips
         factor = scale.client_pool / reference_total
-        self._pools: Dict[str, List[str]] = {}
+        self._pools: Dict[str, AddressPool] = {}
 
         def make_pool(pool_name: str, reference: int, minimum: int = 4) -> None:
             size = max(minimum, round(reference * factor))
@@ -93,14 +120,14 @@ class ClientPools:
             make_pool(f"intercept:{category}", ips)
 
     @staticmethod
-    def _ips(rng: random.Random, count: int) -> List[str]:
+    def _ips(rng: random.Random, count: int) -> AddressPool:
         """``count`` addresses ``10.a.b.c``, drawn per address as
-        ``randint(16, 31)``, ``randint(0, 255)``, ``randint(1, 254)``."""
-        octets = iter(randbelow_rounds(rng, (16, 256, 254), count))
-        return [f"10.{16 + second}.{third}.{1 + fourth}"
-                for second, third, fourth in zip(octets, octets, octets)]
+        ``randint(16, 31)``, ``randint(0, 255)``, ``randint(1, 254)``
+        and stored as ``a - 16``, ``b``, ``c - 1``."""
+        return AddressPool(bytes(randbelow_rounds(rng, (16, 256, 254),
+                                                  count)))
 
-    def pool(self, pool_name: str) -> List[str]:
+    def pool(self, pool_name: str) -> AddressPool:
         return self._pools.get(pool_name) or self._pools["general"]
 
     def sizes(self) -> Dict[str, int]:
@@ -118,16 +145,21 @@ class SpecPlan:
     workload seed plus a content digest of the spec — never from a shared
     generator-instance stream — so any process recomputes the identical
     plan from just (seed, spec).
+
+    The two per-connection fields are compact, so that a worker holding
+    every plan grows with the specs and not with their connections.
     """
 
     plan_id: str
     n_visible: int
     n_tls13: int
     port: int
-    clients: Tuple[str, ...]
-    #: Interval index of connection ``i``; indices ``< n_visible`` are the
-    #: monitor-visible TLS 1.2 connections, the rest the TLS 1.3 slice.
-    shard_of: Tuple[int, ...]
+    #: The sampled clients, as indices into the spec's client pool.
+    clients: array
+    #: Interval index of connection ``i``, one byte each; indices
+    #: ``< n_visible`` are the monitor-visible TLS 1.2 connections, the
+    #: rest the TLS 1.3 slice.
+    shard_of: bytes
 
     @property
     def total(self) -> int:
@@ -187,6 +219,9 @@ class WorkloadGenerator:
 
     def __init__(self, registry: PublicDBRegistry, *, seed: int | str,
                  scale: ScaleConfig, shards: int = GENERATION_SHARDS):
+        if not 0 < shards <= 256:
+            raise ValueError(f"{shards} intervals: a plan holds one byte "
+                             "per connection, so at most 256")
         self.registry = registry
         self.scale = scale
         self.seed = seed
@@ -273,11 +308,10 @@ class WorkloadGenerator:
         n_tls13 = round(n_visible * spec.tls13_rate)
         port = self._draw(rng, tuple(
             (p, w) for p, w in _normalized(PORT_MODELS[spec.port_model])))
-        pool = self.pools.pool(spec.client_pool)
-        subset_size = max(1, min(len(pool), round(n_visible * 0.7)))
-        clients = tuple([pool[index] for index in
-                         randbelow_many(rng, len(pool), subset_size)])
-        shard_of = tuple(randbelow_many(rng, self.shards,
+        pool_size = len(self.pools.pool(spec.client_pool))
+        subset_size = max(1, min(pool_size, round(n_visible * 0.7)))
+        clients = array("I", randbelow_many(rng, pool_size, subset_size))
+        shard_of = bytes(randbelow_many(rng, self.shards,
                                         n_visible + n_tls13))
         return SpecPlan(
             plan_id=plan_id,
@@ -334,11 +368,16 @@ class WorkloadGenerator:
         start, span = shard_window(shard, self.shards)
         policies = self._weighted_policies(spec)
         draw = self._draw
+        octets = self.pools.pool(spec.client_pool).octets
         clients = plan.clients
         n_clients, n_visible = len(clients), plan.n_visible
         for i in indices:
             policy = draw(rng, policies)
-            client_ip = clients[randbelow(rng, n_clients)]
+            # ``AddressPool`` indexing, inlined: the client's address is
+            # rendered here, when it is drawn.
+            base = 3 * clients[randbelow(rng, n_clients)]
+            client_ip = (f"10.{16 + octets[base]}.{octets[base + 1]}."
+                         f"{1 + octets[base + 2]}")
             sends_sni = rng.random() < sni_rate
             when = STUDY_START + timedelta(
                 seconds=start + rng.uniform(0, span))

@@ -227,6 +227,13 @@ def ingest_shards(shards: Iterable[ShardSpec], *,
                        quarantine=config.quarantine)
     result = _reduce(shard_list, logs, partials, jobs=jobs,
                      quarantine=quarantine)
+    # The fold has consumed the transport bytes, and a journal has
+    # already persisted them; the partials keep their tallies,
+    # quarantine records and telemetry.
+    for x509 in logs.values():
+        x509.partial.section = b""
+    for partial in partials.values():
+        partial.payload = b""
     result.supervisor = outcome
     result.requested_jobs = requested
     log.debug("parallel ingest complete", extra=kv(

@@ -375,10 +375,13 @@ def _renderer_for(fields: Tuple[str, ...],
     return renderer
 
 
-#: Rendered lines buffered per writer before one block ``write()``; sized
-#: so a flush is a few hundred KiB — large enough to amortise the stream
-#: call, small enough to keep a 12-way generation fleet's memory flat.
-_WRITE_BUFFER_LINES = 4096
+#: Characters of rendered lines a writer buffers before one block
+#: ``write()``; a flush never writes more than this, unless one line is
+#: longer.  Log text is ASCII in practice, so that is the block's byte
+#: count.  64 KiB amortises the stream call as well as a larger block
+#: does, while a flush's join and encode copies stay small
+#: (docs/PERFORMANCE.md, "Compiled write path").
+_WRITE_BUFFER_BYTES = 64 * 1024
 
 
 class ZeekLogWriter:
@@ -386,7 +389,8 @@ class ZeekLogWriter:
 
     ``compiled=True`` (the default) renders each row through the
     exec-generated per-header line renderer and buffers rendered lines
-    into block writes; ``compiled=False`` keeps the original per-column
+    into block writes of at most :data:`_WRITE_BUFFER_BYTES` characters;
+    ``compiled=False`` keeps the original per-column
     closure walk with one ``write()`` per row, retained as the
     executable specification (and the benchmark baseline) the compiled
     path is tested against.  Both produce byte-identical files and
@@ -412,6 +416,8 @@ class ZeekLogWriter:
         self._line_of = (_renderer_for(self.fields, self.types)
                          if compiled else None)
         self._buffer: List[str] = []
+        #: Characters held in ``_buffer``.
+        self._buffered = 0
         self._renderers = tuple(_compile_renderer(t) for t in self.types)
         self._write_header()
 
@@ -439,14 +445,17 @@ class ZeekLogWriter:
         line_of = self._line_of
         if line_of is not None:
             try:
-                buffer = self._buffer
-                buffer.append(line_of(values))
+                line = line_of(values)
             except _ColumnCountError as exc:
                 raise ValueError(
                     f"row has {exc.columns} values; "
                     f"log has {len(self.fields)} fields") from None
-            if len(buffer) >= _WRITE_BUFFER_LINES:
+            buffered = self._buffered + len(line)
+            if buffered > _WRITE_BUFFER_BYTES:
                 self._flush()
+                buffered = len(line)
+            self._buffer.append(line)
+            self._buffered = buffered
             return
         if len(values) != len(self.fields):
             raise ValueError(
@@ -461,6 +470,7 @@ class ZeekLogWriter:
             self.stream.write("".join(buffer))
             self._rows_metric.inc(len(buffer))
             buffer.clear()
+            self._buffered = 0
 
     def close(self) -> None:
         if not self._closed:

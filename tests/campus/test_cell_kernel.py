@@ -45,6 +45,7 @@ def reference_cell(generator, spec, shard, plan):
              for kind, _ in spec.mix.weights()}
     start, span = shard_window(shard, generator.shards)
     weighted = generator._weighted_policies(spec)
+    pool = generator.pools.pool(spec.client_pool)
     for i, interval in enumerate(plan.shard_of):
         if interval != shard:
             continue
@@ -56,7 +57,7 @@ def reference_cell(generator, spec, shard, plan):
                 policy = candidate
                 break
         client = TLSClient(
-            ip=rng.choice(plan.clients), policy=policy,
+            ip=pool[rng.choice(plan.clients)], policy=policy,
             version=(TLSVersion.TLS13 if i >= plan.n_visible
                      else TLSVersion.TLS12),
             sends_sni=rng.random() < spec.sni_rate)

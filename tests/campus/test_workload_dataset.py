@@ -57,9 +57,9 @@ class TestClientPools:
         assert pools.pool("nope") == pools.pool("general")
 
     def test_ips_are_rfc1918(self):
-        pools = ClientPools(seed=1, scale=SMALL_SCALE)
-        for ip in pools.pool("hybrid")[:20]:
-            assert ip.startswith("10.")
+        pool = ClientPools(seed=1, scale=SMALL_SCALE).pool("hybrid")
+        for index in range(20):
+            assert pool[index].startswith("10.")
 
 
 class TestWorkloadGenerator:

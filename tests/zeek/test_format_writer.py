@@ -56,7 +56,8 @@ class TestRendererParity:
 
     def test_buffer_flush_boundary_exact(self, monkeypatch):
         """Rows crossing the flush threshold land in order, once."""
-        monkeypatch.setattr(zformat, "_WRITE_BUFFER_LINES", 3)
+        # Each row renders to 32 characters: three rows per flush.
+        monkeypatch.setattr(zformat, "_WRITE_BUFFER_BYTES", 100)
         rows = [[float(i), f"C{i}", 443, 0.5, True, "h", []]
                 for i in range(10)]
         assert _written(True, rows) == _written(False, rows)
@@ -100,8 +101,62 @@ class TestWriteMetrics:
     def test_buffered_rows_counted_on_close(self, monkeypatch):
         """The compiled path defers the metric to flush time; nothing may
         be lost when close() drains a partial buffer."""
-        monkeypatch.setattr(zformat, "_WRITE_BUFFER_LINES", 4)
+        # The rows render to 55, 40, 50, 47, 62 and 44 characters.
+        monkeypatch.setattr(zformat, "_WRITE_BUFFER_BYTES", 200)
         get_registry().reset()
-        _written(True)  # 6 rows: one full flush + a partial at close
+        _written(True)  # 6 rows: one flush of 4 + a partial at close
         assert instruments.ZEEK_ROWS.value(
             direction="written", path="ssl") == len(EDGE_ROWS)
+
+
+class _RecordingStream(io.StringIO):
+    """A text stream that remembers the length of every ``write``."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(len(text))
+        return super().write(text)
+
+
+def _generation_rows(count):
+    """Rows about as wide as a generated ``ssl.log`` row (~330 chars)."""
+    fingerprints = [f"{i:064x}" for i in range(4)]
+    return [[1599000000.0 + i, f"C{i:017d}", 443, 0.5, bool(i % 2),
+             f"host-{i}.example.edu", fingerprints] for i in range(count)]
+
+
+class TestBoundedBuffer:
+    def test_buffered_text_never_exceeds_the_bound(self):
+        """Between flushes the writer holds at most the byte bound, and
+        every block it writes is at most that long."""
+        bound = zformat._WRITE_BUFFER_BYTES
+        rows = _generation_rows(2_000)
+        stream = _RecordingStream()
+        with ZeekLogWriter(stream, "ssl", FIELDS, TYPES,
+                           open_time=OPEN_TIME) as writer:
+            header_writes = len(stream.writes)
+            for row in rows:
+                writer.write_row(row)
+                assert sum(map(len, writer._buffer)) <= bound
+        blocks = stream.writes[header_writes:-1]  # data, then ``#close``
+        assert len(blocks) > 1
+        assert max(blocks) <= bound
+        assert stream.getvalue() == _written(False, rows)
+
+    def test_a_line_longer_than_the_bound_is_written_alone(
+            self, monkeypatch):
+        monkeypatch.setattr(zformat, "_WRITE_BUFFER_BYTES", 100)
+        rows = [[1.0, "C1", 443, 0.5, True, "h", []],
+                [2.0, "C2", 443, 0.5, True, "x" * 150, []],
+                [3.0, "C3", 443, 0.5, True, "h", []]]
+        stream = _RecordingStream()
+        with ZeekLogWriter(stream, "ssl", FIELDS, TYPES,
+                           open_time=OPEN_TIME) as writer:
+            header_writes = len(stream.writes)
+            for row in rows:
+                writer.write_row(row)
+        assert stream.writes[header_writes:-1] == [32, 181, 32]
+        assert stream.getvalue() == _written(False, rows)
