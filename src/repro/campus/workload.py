@@ -22,7 +22,7 @@ from array import array
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..draws import randbelow, randbelow_many, randbelow_rounds
 from ..tls.connection import ConnectionRecord, Endpoint
@@ -164,6 +164,17 @@ class SpecPlan:
     @property
     def total(self) -> int:
         return self.n_visible + self.n_tls13
+
+    def connections_in(self, shard: int) -> List[int]:
+        """Indices of the connections assigned to interval ``shard``,
+        ascending: a byte search over ``shard_of``, not a Python scan."""
+        shard_of = self.shard_of
+        indices = []
+        i = shard_of.find(shard)
+        while i >= 0:
+            indices.append(i)
+            i = shard_of.find(shard, i + 1)
+        return indices
 
 
 class _VerdictMemo(ValidationPolicy):
@@ -344,7 +355,7 @@ class WorkloadGenerator:
         """
         if plan is None:
             plan = self.plan_for(spec)
-        indices = [i for i, s in enumerate(plan.shard_of) if s == shard]
+        indices = plan.connections_in(shard)
         if not indices:
             return
         stream = f"{self.seed}:{shard:02d}:{plan.plan_id}"

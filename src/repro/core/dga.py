@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
 from ..x509.certificate import Certificate
-from .chain import ObservedChain
+from .chain import ChainUsage, ObservedChain
 
 __all__ = ["looks_random", "domain_template", "DGACluster", "DGADetector"]
 
@@ -102,10 +102,8 @@ class DGACluster:
 
     @property
     def client_ips(self) -> int:
-        ips: set[str] = set()
-        for chain in self.chains:
-            ips |= chain.usage.client_ips
-        return len(ips)
+        return ChainUsage.distinct_clients(
+            chain.usage for chain in self.chains)
 
     def validity_range_days(self) -> tuple[int, int]:
         """(min, max) certificate lifetime in days across the cluster."""

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..x509.certificate import Certificate
 from ..x509.dn import DistinguishedName
-from .chain import ObservedChain
+from .chain import ChainUsage, ObservedChain
 from .classification import CertificateClassifier, IssuerClass
 from .crosssign import CrossSignDisclosures
 from .matching import (ChainStructure, Segment, analyze_structure,
@@ -253,13 +253,12 @@ class HybridReport:
         matching = [a for a in self.analyses if a.leaf_missing_issuer]
         connections = sum(a.chain.usage.connections for a in matching)
         established = sum(a.chain.usage.established for a in matching)
-        clients = set().union(
-            *(a.chain.usage.client_ips for a in matching))
+        clients = ChainUsage.distinct_clients(a.chain.usage for a in matching)
         return {
             "chains": len(matching),
             "connections": connections,
             "established_pct": 100.0 * established / connections if connections else 0.0,
-            "client_ips": len(clients),
+            "client_ips": clients,
         }
 
     # -- Figure 4 ---------------------------------------------------------------

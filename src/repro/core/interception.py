@@ -24,7 +24,7 @@ from ..resilience.breaker import CircuitBreaker
 from ..resilience.errors import CircuitOpenError, CTUnavailableError
 from ..x509.certificate import Certificate
 from ..x509.dn import DistinguishedName
-from .chain import ObservedChain
+from .chain import ChainUsage, ObservedChain
 from .classification import CertificateClassifier, IssuerClass
 
 __all__ = [
@@ -114,14 +114,14 @@ class InterceptionReport:
         """
         vendors_per_category: Dict[str, set] = {c: set() for c in CATEGORY_ORDER}
         connections_per_category: Counter = Counter()
-        client_sets: Dict[str, list] = {c: [] for c in CATEGORY_ORDER}
+        usages: Dict[str, list] = {c: [] for c in CATEGORY_ORDER}
         for chain_key, issuer in self.flagged_chains.items():
             chain = chains.get(chain_key)
             if chain is None:
                 continue
             vendors_per_category[issuer.category].add(issuer.vendor)
             connections_per_category[issuer.category] += chain.usage.connections
-            client_sets[issuer.category].append(chain.usage.client_ips)
+            usages[issuer.category].append(chain.usage)
         total_connections = sum(connections_per_category.values()) or 1
         rows = []
         for category in CATEGORY_ORDER:
@@ -130,9 +130,7 @@ class InterceptionReport:
                 "issuers": len(vendors_per_category[category]),
                 "pct_connections": 100.0 * connections_per_category[category]
                 / total_connections,
-                # One n-ary union per category instead of per-chain |=
-                # (each of which copies the accumulator).
-                "client_ips": len(set().union(*client_sets[category])),
+                "client_ips": ChainUsage.distinct_clients(usages[category]),
             })
         return rows
 
@@ -193,7 +191,7 @@ class InterceptionDetector:
             if self.classifier.classify(leaf) is not IssuerClass.NON_PUBLIC_DB:
                 instruments.INTERCEPTION_CHAINS.inc(verdict="public_issuer")
                 continue
-            domains = set(chain.usage.snis)
+            domains = set(chain.usage.sni_names())
             san = leaf.extensions.subject_alt_name
             if san is not None:
                 domains.update(san.dns_names)

@@ -25,7 +25,7 @@ from ..resilience.checkpoint import (ArtifactStore, CheckpointStore,
 from ..truststores.registry import PublicDBRegistry
 from ..zeek.tap import JoinedConnection
 from .categorization import CategorizedChains, ChainCategorizer, ChainCategory
-from .chain import ObservedChain, aggregate_chains
+from .chain import ChainUsage, ObservedChain, aggregate_chains
 from .classification import CertificateClassifier
 from .crosssign import CrossSignDisclosures
 from .dga import DGACluster, DGADetector
@@ -125,13 +125,13 @@ class AnalysisResult:
         self_signed = sum(1 for c in singles if c.is_single_self_signed)
         connections = sum(c.usage.connections for c in singles)
         no_sni = sum(c.usage.connections - c.usage.sni_present for c in singles)
-        clients = set().union(*(c.usage.client_ips for c in singles))
+        clients = ChainUsage.distinct_clients(c.usage for c in singles)
         return SingleCertStats(
             chains=len(singles),
             share_of_category=100.0 * len(singles) / len(chains) if chains else 0.0,
             self_signed_pct=100.0 * self_signed / len(singles) if singles else 0.0,
             connections=connections,
-            client_ips=len(clients),
+            client_ips=clients,
             no_sni_connection_pct=100.0 * no_sni / connections if connections else 0.0,
         )
 

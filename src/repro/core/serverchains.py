@@ -119,7 +119,7 @@ def group_by_server(chains: Iterable[ObservedChain]) -> List[ServerChainGroup]:
     """
     groups: Dict[str, ServerChainGroup] = {}
     for chain in chains:
-        key = ",".join(sorted(chain.usage.server_ips)) or "?"
+        key = ",".join(sorted(chain.usage.server_names())) or "?"
         group = groups.get(key)
         if group is None:
             group = ServerChainGroup(key)

@@ -9,6 +9,7 @@ from __future__ import annotations
 from ..campus.dataset import CampusDataset
 from ..campus.profiles import PAPER
 from ..core.categorization import ChainCategory
+from ..core.chain import ChainUsage
 from ..core.hybrid import HybridCategory
 from ..core.report import render_table
 from .base import ExperimentResult, comparison_table, experiment
@@ -171,12 +172,8 @@ def run_table4(dataset: CampusDataset) -> ExperimentResult:
 
 
 def _ports(cat, category, *, single: bool):
-    from collections import Counter
-    ports: Counter = Counter()
-    for chain in cat.chains(category):
-        if chain.is_single == single:
-            ports += chain.usage.ports
-    return ports
+    return ChainUsage.port_totals(chain.usage for chain in cat.chains(category)
+                                  if chain.is_single == single)
 
 
 @experiment("table6")

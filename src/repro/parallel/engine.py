@@ -19,7 +19,7 @@ supervised dispatches (:func:`~repro.parallel.supervisor.run_supervised`;
 over the same shards regardless of worker count or completion order:
 
 * shard payloads are folded strictly in shard-index order, so the chain
-  dict's insertion order — and every ``Counter``'s key order inside the
+  dict's insertion order — and every chain's port order inside the
   usage accumulators — reproduces the order a single process would have
   produced scanning shard 0, then 1, …;
 * workers leave no direct metrics behind (their observations are
@@ -330,8 +330,9 @@ def _reconstruct_certificates(spec: Dict[str, list]
 def _fold(merged: Dict[tuple, ObservedChain], shard_list: List[ShardSpec],
           logs: Dict[str, _X509Log],
           partials: Dict[int, ShardPartial]) -> None:
-    """Rebuild each log's certificates once and fold every shard's chain
-    columns into ``merged``, in shard order.
+    """Rebuild each log's certificates once, fold every shard's chain
+    columns into ``merged`` in shard order, then settle each chain's
+    id arrays.
 
     The rebuild (certificate reconstruction, DN parsing) churns the
     same memo caches a worker would have touched, so it runs under a
@@ -348,6 +349,9 @@ def _fold(merged: Dict[tuple, ObservedChain], shard_list: List[ShardSpec],
                                    unpack_shard_payload(partial.payload),
                                    logs[spec.x509_path].section.fingerprints,
                                    certificates[spec.x509_path])
+        # One sort per chain, after the last shard.
+        for chain in merged.values():
+            chain.usage.settle()
 
 
 def _replay(quarantine: Optional[Quarantine],

@@ -180,12 +180,14 @@ def process_shard(task: ShardTask) -> ShardPartial:
 
     The SSL log is read column-at-a-time and folded straight into chain
     partials without materialising a row object: the same
-    missing-certificate tallies, empty-key skips and one
-    :meth:`~repro.core.chain.ChainUsage.record` per row as a row-object
-    join.  Strict/tolerant and fault-injection semantics match
-    :func:`process_x509_log`; fault draws are keyed by line number, so
-    each shard file draws the same corruption pattern no matter which
-    worker (or how many workers) processes it.
+    missing-certificate tallies, empty-key skips and per-row usage
+    updates as :meth:`~repro.core.chain.ChainUsage.record` over a
+    row-object join, with client IPs, server IPs and SNIs interned
+    against the shard's own string table.  Strict/tolerant and
+    fault-injection semantics match :func:`process_x509_log`; fault
+    draws are keyed by line number, so each shard file draws the same
+    corruption pattern no matter which worker (or how many workers)
+    processes it.
     """
     start = time.perf_counter()
     quarantine = Quarantine() if task.tolerant else None
@@ -210,9 +212,7 @@ def process_shard(task: ShardTask) -> ShardPartial:
                 established=columns["established"], sni_ids=sni.ids,
                 sni_values=sni.table.values, chain_ids=chain_fps.ids,
                 chain_values=chain_fps.table.values)
-        partial.payload = pack_shard_payload(
-            chain_keys=list(fold.chains), usages=list(fold.chains.values()),
-            positions=positions)
+        partial.payload = pack_shard_payload(fold, positions=positions)
         with trace_span("shard_payload", shard=task.index,
                         payload_bytes=len(partial.payload)):
             pass  # zero-duration marker: payload size in the trace

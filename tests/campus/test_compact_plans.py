@@ -20,7 +20,7 @@ from repro.campus.dataset import build_generation_context
 from repro.campus.profiles import PAPER
 from repro.campus.workload import AddressPool, WorkloadGenerator
 
-CASES = [("small", 0), ("small", 7), ("small", "probe"),
+CASES = [("small", 0), ("small", 7), ("small", "probe"), ("default", 0),
          ("default", 7), ("default", "probe")]
 
 
@@ -100,6 +100,22 @@ class TestCompactForms:
             assert tuple(pool[index] for index in plan.clients) == clients
             connections += plan.total
         assert connections > len(context.specs)
+
+    def test_interval_indices_equal_the_scan(self, case):
+        """``connections_in`` finds each interval's connections by byte
+        search; they are the indices a scan of ``shard_of`` yields, in
+        the same order, for every (spec, interval) cell."""
+        context, _ = case
+        generator = context.generator
+        for spec in context.specs:
+            plan = generator.plan_for(spec)
+            found = 0
+            for shard in range(generator.shards):
+                indices = plan.connections_in(shard)
+                assert indices == [i for i, s in enumerate(plan.shard_of)
+                                   if s == shard], (spec.key, shard)
+                found += len(indices)
+            assert found == plan.total
 
 
 class TestAddressPool:

@@ -77,7 +77,7 @@ def test_port_totals_conserved(connections):
             expected[port] = expected.get(port, 0) + 1
     measured = {}
     for chain in chains.values():
-        for port, count in chain.usage.ports.items():
+        for port, count in chain.usage.port_items():
             measured[port] = measured.get(port, 0) + count
     assert measured == expected
 
@@ -100,10 +100,10 @@ def test_aggregation_order_invariant(connections):
     assert set(forward) == set(backward)
     for key in forward:
         a, b = forward[key].usage, backward[key].usage
-        assert (a.connections, a.established, a.client_ips, a.ports,
-                a.first_seen, a.last_seen) == \
-            (b.connections, b.established, b.client_ips, b.ports,
-             b.first_seen, b.last_seen)
+        assert (a.connections, a.established, a.client_ids,
+                a.port_counter(), a.first_seen, a.last_seen) == \
+            (b.connections, b.established, b.client_ids,
+             b.port_counter(), b.first_seen, b.last_seen)
 
 
 @settings(max_examples=60, deadline=None)
@@ -130,11 +130,11 @@ def test_merge_over_any_partition_equals_single_pass(connections, cuts):
     assert list(merged) == list(joint)  # key order, not just membership
     for key in joint:
         a, b = merged[key].usage, joint[key].usage
-        assert (a.connections, a.established, a.client_ips, a.server_ips,
-                a.sni_present, a.snis, a.first_seen, a.last_seen) == \
-            (b.connections, b.established, b.client_ips, b.server_ips,
-             b.sni_present, b.snis, b.first_seen, b.last_seen)
-        assert list(a.ports.items()) == list(b.ports.items())
+        assert (a.connections, a.established, a.client_ids, a.server_ids,
+                a.sni_present, a.sni_ids, a.first_seen, a.last_seen) == \
+            (b.connections, b.established, b.client_ids, b.server_ids,
+             b.sni_present, b.sni_ids, b.first_seen, b.last_seen)
+        assert list(a.port_items()) == list(b.port_items())
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,4 +165,4 @@ def test_merge_equals_joint_aggregation(connections, split):
     assert set(first) == set(joint)
     for key in joint:
         assert first[key].usage.connections == joint[key].usage.connections
-        assert first[key].usage.client_ips == joint[key].usage.client_ips
+        assert first[key].usage.client_ids == joint[key].usage.client_ids

@@ -45,8 +45,8 @@ class TestAggregation:
         chains = aggregate_chains(joined)
         big = max(chains.values(), key=lambda c: c.usage.connections)
         assert big.usage.connections == 4
-        assert len(big.usage.client_ips) == 2
-        assert big.usage.ports[443] == 4
+        assert len(big.usage.client_ids) == 2
+        assert big.usage.port_counter()[443] == 4
         assert big.usage.sni_rate == 1.0
         assert big.usage.first_seen is not None
 
@@ -67,7 +67,7 @@ class TestAggregation:
         a.merge(b)
         assert a.connections == 2
         assert a.established == 1
-        assert a.client_ips == {"1", "2"}
+        assert sorted(a.client_names()) == ["1", "2"]
         assert a.first_seen == 5.0
         assert a.last_seen == 10.0
 

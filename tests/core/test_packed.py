@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 
 import pytest
@@ -10,6 +11,7 @@ from repro.campus.dataset import cached_campus_dataset
 from repro.core.chain import ChainUsage, ObservedChain, aggregate_chains
 from repro.core.packed import (
     ChainFold,
+    ShardUsage,
     fold_ssl_segment,
     materialize_chains,
     pack_shard_payload,
@@ -25,16 +27,39 @@ from repro.zeek.records import SSLRecord, X509Record
 from repro.zeek.tap import JoinStats, certificate_map, iter_joined
 
 def _usage(**overrides) -> ChainUsage:
-    usage = ChainUsage(
+    fields = dict(
         connections=3, established=2,
         client_ips={"10.0.0.1", "10.0.0.2"},
         ports=Counter({443: 2, 8443: 1}),
         sni_present=2, snis={"example.com", "münchen.example"},
         first_seen=1453939200.0, last_seen=1453939300.5,
         server_ips={"192.0.2.1"})
-    for name, value in overrides.items():
-        setattr(usage, name, value)
-    return usage
+    fields.update(overrides)
+    return ChainUsage(**fields)
+
+
+def _fold(keys, usages) -> ChainFold:
+    """A shard's fold holding ``usages`` under ``keys``, its values
+    interned against the fold's own string table."""
+    fold = ChainFold()
+
+    def local(value):
+        lid = fold.string_ids.get(value)
+        if lid is None:
+            lid = fold.string_ids[value] = len(fold.strings)
+            fold.strings.append(value)
+        return lid
+
+    for key, usage in zip(keys, usages):
+        fold.chains[key] = ShardUsage(
+            connections=usage.connections, established=usage.established,
+            sni_present=usage.sni_present, first_seen=usage.first_seen,
+            last_seen=usage.last_seen,
+            client_ids={local(v) for v in usage.client_names()},
+            server_ids={local(v) for v in usage.server_names()},
+            sni_ids={local(v) for v in usage.sni_names()},
+            ports=dict(usage.port_items()))
+    return fold
 
 
 def _x509_columns(n: int) -> dict:
@@ -65,7 +90,7 @@ POSITIONS = {fp: i for i, fp in enumerate(FPS)}
 def _roundtrip(keys, usages):
     """Pack, unpack and fold one shard's partial into an empty map."""
     columns = unpack_shard_payload(pack_shard_payload(
-        chain_keys=keys, usages=usages, positions=POSITIONS))
+        _fold(keys, usages), positions=POSITIONS))
     certificates = {fp: object() for fp in FPS}
     merged = {}
     materialize_chains(merged, columns, FPS, certificates)
@@ -80,7 +105,7 @@ class TestPayloadCodec:
                          ports=Counter({443: 1}), sni_present=0,
                          snis=set(), server_ips=set(),
                          first_seen=None, last_seen=None)]
-        payload = pack_shard_payload(chain_keys=keys, usages=usages,
+        payload = pack_shard_payload(_fold(keys, usages),
                                      positions=POSITIONS)
         assert isinstance(payload, bytes) and payload.startswith(b"RPK2")
         columns = unpack_shard_payload(payload)
@@ -90,7 +115,7 @@ class TestPayloadCodec:
         assert [chain.usage for chain in merged.values()] == usages
         # Counter *insertion order* survives: the reduce's merged output
         # ordering depends on it.
-        assert list(merged[keys[0]].usage.ports.items()) == \
+        assert list(merged[keys[0]].usage.port_items()) == \
             [(443, 2), (8443, 1)]
 
     def test_x509_section_roundtrips(self):
@@ -102,7 +127,7 @@ class TestPayloadCodec:
 
     def test_empty_shard_roundtrips(self):
         columns = unpack_shard_payload(pack_shard_payload(
-            chain_keys=[], usages=[], positions={}))
+            ChainFold(), positions={}))
         assert columns.chain_keys([]) == []
         merged = {}
         materialize_chains(merged, columns, [], {})
@@ -112,7 +137,7 @@ class TestPayloadCodec:
         assert all(col == [] for col in decoded.columns.values())
 
     def test_bad_magic_rejected(self):
-        payload = pack_shard_payload(chain_keys=[], usages=[], positions={})
+        payload = pack_shard_payload(ChainFold(), positions={})
         with pytest.raises(ValueError):
             unpack_shard_payload(b"XXXX" + payload[4:])
         section = pack_x509_section(_x509_columns(1))
@@ -125,13 +150,20 @@ class TestPayloadCodec:
             unpack_x509_section(payload)
 
     def test_truncated_payload_rejected(self):
-        payload = pack_shard_payload(chain_keys=[("fp00",)],
-                                     usages=[_usage()], positions=POSITIONS)
+        payload = pack_shard_payload(_fold([("fp00",)], [_usage()]),
+                                     positions=POSITIONS)
         with pytest.raises(ValueError):
             unpack_shard_payload(payload[:len(payload) // 2])
         section = pack_x509_section(_x509_columns(2))
         with pytest.raises(ValueError):
             unpack_x509_section(section[:len(section) // 2])
+
+    def test_out_of_range_string_id_rejected(self):
+        fold = _fold([("fp00",)], [_usage()])
+        fold.chains[("fp00",)].client_ids.add(len(fold.strings))
+        with pytest.raises(ValueError):
+            unpack_shard_payload(pack_shard_payload(fold,
+                                                    positions=POSITIONS))
 
     def test_shards_of_one_x509_log_share_one_section_decode(self):
         """Chain payloads carry positions, not fingerprints: every shard
@@ -140,8 +172,7 @@ class TestPayloadCodec:
         positions = {fp: i for i, fp in enumerate(section.fingerprints)}
         first, second = (
             unpack_shard_payload(pack_shard_payload(
-                chain_keys=keys, usages=[_usage()] * len(keys),
-                positions=positions))
+                _fold(keys, [_usage()] * len(keys)), positions=positions))
             for keys in ([("fp00", "fp01")], [("fp02",), ("fp01",)]))
         assert first.chain_keys(section.fingerprints) == [("fp00", "fp01")]
         assert second.chain_keys(section.fingerprints) == \
@@ -159,8 +190,8 @@ class TestPayloadCodec:
 
     def test_materialize_folds_exactly_like_chain_usage_merge(self):
         """A key's later appearance adds into its usage with the same
-        operations ChainUsage.merge performs: Counter key order, set
-        contents and the timestamp window all match."""
+        operations ChainUsage.merge performs: port order, id sets and
+        the timestamp window all match."""
         shard0 = [("fp01",), ("fp00", "fp01")]
         shard1 = [("fp02",), ("fp00", "fp01")]
         usages0 = [_usage(), _usage(ports=Counter({8443: 1, 443: 4}))]
@@ -174,29 +205,27 @@ class TestPayloadCodec:
         certificates = {fp: object() for fp in FPS}
         for keys, usages in ((shard0, usages0), (shard1, usages1)):
             materialize_chains(merged, unpack_shard_payload(
-                pack_shard_payload(chain_keys=keys, usages=usages,
+                pack_shard_payload(_fold(keys, usages),
                                    positions=POSITIONS)),
                 FPS, certificates)
 
         expected = {}
         for keys, usages in ((shard0, usages0), (shard1, usages1)):
             for key, usage in zip(keys, usages):
-                copy = _usage()
-                for name in ChainUsage.__dataclass_fields__:
-                    value = getattr(usage, name)
-                    setattr(copy, name, value.copy()
-                            if hasattr(value, "copy") else value)
+                usage = copy.deepcopy(usage)
                 if key in expected:
-                    expected[key].usage.merge(copy)
+                    expected[key].usage.merge(usage)
                 else:
                     expected[key] = ObservedChain(
-                        tuple(certificates[fp] for fp in key), usage=copy)
+                        tuple(certificates[fp] for fp in key), usage=usage)
         assert list(merged) == list(expected)
         for key, chain in expected.items():
             assert merged[key].usage == chain.usage
-            assert list(merged[key].usage.ports) == list(chain.usage.ports)
+            assert list(merged[key].usage.port_items()) == \
+                list(chain.usage.port_items())
             assert merged[key].certificates == chain.certificates
-        assert list(merged[("fp00", "fp01")].usage.ports) == [8443, 443, 25]
+        assert list(merged[("fp00", "fp01")].usage.port_counter()) == \
+            [8443, 443, 25]
 
 
 @pytest.fixture(scope="module")
@@ -286,5 +315,9 @@ class TestFoldEquivalence:
         usage = fold.chains[("fp-a",)]
         assert usage.connections == 2
         assert usage.ports == Counter({443: 1, 8443: 1})
-        # record() keeps None clients — exact legacy set semantics.
-        assert usage.client_ips == {"10.0.0.1", None}
+        # None clients are kept, as record() keeps them; -1 is the
+        # payload's id for None.
+        assert {fold.strings[i] if i >= 0 else None
+                for i in usage.client_ids} == {"10.0.0.1", None}
+        # Only the values of aggregated rows enter the string table.
+        assert fold.strings == ["10.0.0.1", "192.0.2.1", "example.com"]

@@ -68,7 +68,7 @@ class TestGroundTruthAgreement:
             spec = truth[chain.key]
             if spec.category_truth != "interception":
                 continue
-            domains = set(chain.usage.snis)
+            domains = set(chain.usage.sni_names())
             san = chain.certificates[0].extensions.subject_alt_name
             if san:
                 domains.update(san.dns_names)

@@ -65,7 +65,7 @@ def _ingest(shards, monkeypatch, *, vectorise, jobs):
     return {
         "chains": [(key,
                     tuple(cert.fingerprint for cert in chain.certificates),
-                    chain.usage, list(chain.usage.ports.items()))
+                    chain.usage, list(chain.usage.port_items()))
                    for key, chain in result.chains.items()],
         "fingerprints": result.cert_fingerprints,
         "tallies": (result.ssl_rows, result.x509_rows, result.joined,

@@ -54,7 +54,7 @@ def _without(export, families):
 
 def _chains(result):
     return [(key, tuple(cert.fingerprint for cert in chain.certificates),
-             chain.usage, list(chain.usage.ports.items()))
+             chain.usage, list(chain.usage.port_items()))
             for key, chain in result.chains.items()]
 
 

@@ -82,10 +82,11 @@ def canon(chains):
     """Full observable state of a chain map, order included."""
     return [(key, tuple(c.fingerprint for c in chain.certificates),
              chain.usage.connections, chain.usage.established,
-             sorted(chain.usage.client_ips), list(chain.usage.ports.items()),
-             chain.usage.sni_present, sorted(chain.usage.snis),
+             sorted(chain.usage.client_names()),
+             list(chain.usage.port_items()),
+             chain.usage.sni_present, sorted(chain.usage.sni_names()),
              chain.usage.first_seen, chain.usage.last_seen,
-             sorted(chain.usage.server_ips))
+             sorted(chain.usage.server_names()))
             for key, chain in chains.items()]
 
 
